@@ -1,12 +1,13 @@
-"""Batched residual kernels for solution-map verification.
+"""Batched residual kernel for solution-map verification.
 
 Sampling 10^4+ point pairs per solution family dominates the runtime of
-the verification suite, so the inner loops live here in two equivalent
-implementations: numba-compiled loops and a pure-numpy vectorized path.
-
-Set ``POPA_ALGEBRA_PURE_NUMPY=1`` to force the numpy path (also used
-automatically when numba is unavailable).  ``POPA_ALGEBRA_THREADS`` caps
-numba's thread pool.  Both paths are deterministic for a given input.
+the verification suite.  The kernel is plain numpy, streamed over the
+pairs in blocks of ``BLOCK_COORDS`` coordinates.  Each block is held
+coordinate-major, as ``(d, rows)`` arrays: every reduction over the d
+coordinates is then elementwise on length-``rows`` vectors and the
+linear family is one ``M @ Xb``; besides the outputs, the working
+memory is a few blocks whatever the number of pairs.  Deterministic for
+a given input.
 
 Family codes (``fam``):
     0  linear:        S(x) = unit + M x
@@ -19,268 +20,120 @@ Multiplication codes (``mult``): 0 componentwise, 1 complex on R^2.
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-_PURE_NUMPY_ENV = os.environ.get("POPA_ALGEBRA_PURE_NUMPY", "").strip().lower()
-_FORCE_NUMPY = _PURE_NUMPY_ENV in ("1", "true", "yes", "on")
 
 _DOMAIN_EPS = 1e-9  # power-form bases this close to 0 are rejected
 
-try:  # pragma: no cover - exercised indirectly through both paths
-    if _FORCE_NUMPY:
-        raise ImportError("pure-numpy path requested")
-    import numba
-    from numba import njit, prange
-
-    if "NUMBA_THREADING_LAYER" not in os.environ:
-        # skip the TBB probe; chunk-grained loops do fine on workqueue
-        numba.config.THREADING_LAYER = "workqueue"
-    _threads = os.environ.get("POPA_ALGEBRA_THREADS", "").strip()
-    if _threads:
-        try:
-            numba.set_num_threads(max(1, min(int(_threads), numba.get_num_threads())))
-        except (ValueError, RuntimeError):
-            pass
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-    prange = range
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+#: coordinates per block: rows = max(256, BLOCK_COORDS // d)
+BLOCK_COORDS = 2**16
 
 
-# ---------------------------------------------------------------------------
-# numba path: explicit loops
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _eval_into(fam, M, w, axis, r, g, unit, x, out):
-    d = x.shape[0]
+def _eval(fam, M, w, axis, r, g, unit, Xb):
     if fam == 0:
-        for i in range(d):
-            acc = unit[i]
-            for j in range(d):
-                acc += M[i, j] * x[j]
-            out[i] = acc
-    elif fam == 1:
-        acc = 0.0
-        for j in range(d):
-            acc += w[j] * x[j]
-        for i in range(d):
-            out[i] = 1.0
-        out[axis] = math.exp(acc)
-    elif fam == 2:
-        base = 1.0 + r * x[axis]
-        out[axis] = base
-        out[1 - axis] = base ** g
-    else:
-        base = x[axis]
-        out[axis] = base
-        out[1 - axis] = base ** g
-
-
-@njit(cache=True)
-def _domain_ok(fam, axis, r, x):
-    if fam == 2:
-        return 1.0 + r * x[axis] > _DOMAIN_EPS
-    if fam == 3:
-        return x[axis] > _DOMAIN_EPS
-    return True
-
-
-@njit(cache=True)
-def _mult_into(mult, a, b, out):
-    if mult == 1:
-        re = a[0] * b[0] - a[1] * b[1]
-        im = a[0] * b[1] + a[1] * b[0]
-        out[0] = re
-        out[1] = im
-    else:
-        for i in range(a.shape[0]):
-            out[i] = a[i] * b[i]
-
-
-@njit(cache=True)
-def _min_spec(mult, s):
-    if mult == 1:
-        return math.hypot(s[0], s[1])
-    m = abs(s[0])
-    for i in range(1, s.shape[0]):
-        v = abs(s[i])
-        if v < m:
-            m = v
-    return m
-
-
-@njit(cache=True)
-def _elem_norm(mult, v):
-    if mult == 1:
-        return math.hypot(v[0], v[1])
-    m = abs(v[0])
-    for i in range(1, v.shape[0]):
-        a = abs(v[i])
-        if a > m:
-            m = a
-    return m
-
-
-_CHUNK = 2048
-
-
-@njit(cache=True, parallel=True)
-def _gs_residual_batch_loop(fam, mult, M, w, axis, r, g, rho, unit, X, Y, inv_tol):
-    # chunks are independent and write disjoint slots, so the parallel loop
-    # is deterministic regardless of the thread count
-    n, d = X.shape
-    gs = np.zeros(n)
-    goldie = np.zeros(n)
-    valid = np.zeros(n, dtype=np.uint8)
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    for c in prange(n_chunks):
-        sx = np.empty(d)
-        sy = np.empty(d)
-        sz = np.empty(d)
-        z = np.empty(d)
-        t1 = np.empty(d)
-        t2 = np.empty(d)
-        nx = np.empty(d)
-        ny = np.empty(d)
-        nz = np.empty(d)
-        for p in range(c * _CHUNK, min((c + 1) * _CHUNK, n)):
-            x = X[p]
-            y = Y[p]
-            if not (_domain_ok(fam, axis, r, x) and _domain_ok(fam, axis, r, y)):
-                continue
-            _eval_into(fam, M, w, axis, r, g, unit, x, sx)
-            _eval_into(fam, M, w, axis, r, g, unit, y, sy)
-            if _min_spec(mult, sx) <= inv_tol or _min_spec(mult, sy) <= inv_tol:
-                continue
-            _mult_into(mult, sx, y, t1)
-            for i in range(d):
-                z[i] = x[i] + t1[i]
-            if not _domain_ok(fam, axis, r, z):
-                continue
-            _eval_into(fam, M, w, axis, r, g, unit, z, sz)
-            _mult_into(mult, sx, sy, t1)
-            for i in range(d):
-                t2[i] = sz[i] - t1[i]
-            gs[p] = _elem_norm(mult, t2)
-            _mult_into(mult, rho, x, t1)
-            for i in range(d):
-                nx[i] = sx[i] - unit[i] - t1[i]
-            _mult_into(mult, rho, y, t1)
-            for i in range(d):
-                ny[i] = sy[i] - unit[i] - t1[i]
-            _mult_into(mult, rho, z, t1)
-            for i in range(d):
-                nz[i] = sz[i] - unit[i] - t1[i]
-            _mult_into(mult, sx, ny, t1)
-            for i in range(d):
-                t2[i] = nz[i] - nx[i] - t1[i]
-            goldie[p] = _elem_norm(mult, t2)
-            valid[p] = 1
-    return gs, goldie, valid
-
-
-# ---------------------------------------------------------------------------
-# numpy path: vectorized over the sample batch
-# ---------------------------------------------------------------------------
-
-def _eval_batch_numpy(fam, M, w, axis, r, g, unit, X):
-    n, d = X.shape
-    if fam == 0:
-        return X @ M.T + unit
-    if fam == 1:
-        out = np.ones((n, d))
-        out[:, axis] = np.exp(X @ w)
+        out = M @ Xb
+        out += unit
         return out
-    out = np.empty((n, d))
-    if fam == 2:
-        base = 1.0 + r * X[:, axis]
-    else:
-        base = X[:, axis].copy()
-    safe = np.where(base > _DOMAIN_EPS, base, 1.0)
-    out[:, axis] = base
-    out[:, 1 - axis] = safe ** g
+    out = np.ones_like(Xb)
+    if fam == 1:
+        out[axis] = np.exp(w @ Xb)
+        return out
+    base = 1.0 + r * Xb[axis] if fam == 2 else Xb[axis]
+    out[axis] = base
+    out[1 - axis] = np.where(base > _DOMAIN_EPS, base, 1.0) ** g
     return out
 
 
-def _domain_mask_numpy(fam, axis, r, X):
+def _in_domain(fam, axis, r, Xb):
     if fam == 2:
-        return 1.0 + r * X[:, axis] > _DOMAIN_EPS
+        return 1.0 + r * Xb[axis] > _DOMAIN_EPS
     if fam == 3:
-        return X[:, axis] > _DOMAIN_EPS
-    return np.ones(X.shape[0], dtype=bool)
+        return Xb[axis] > _DOMAIN_EPS
+    return True
 
 
-def _mult_numpy(mult, A, B):
+def _mul(mult, A, B, out=None):
+    """Product in the algebra; ``out`` may be ``B``."""
     if mult == 1:
-        out = np.empty_like(A)
-        out[:, 0] = A[:, 0] * B[:, 0] - A[:, 1] * B[:, 1]
-        out[:, 1] = A[:, 0] * B[:, 1] + A[:, 1] * B[:, 0]
+        re = A[0] * B[0] - A[1] * B[1]
+        im = A[0] * B[1] + A[1] * B[0]
+        out = np.empty_like(B) if out is None else out
+        out[0], out[1] = re, im
         return out
-    return A * B
+    return np.multiply(A, B, out=out)
 
 
-def _min_spec_numpy(mult, S):
+def _min_spec(mult, S):
     if mult == 1:
-        return np.hypot(S[:, 0], S[:, 1])
-    return np.min(np.abs(S), axis=1)
+        return np.hypot(S[0], S[1])
+    return np.abs(S).min(axis=0)
 
 
-def _elem_norm_numpy(mult, V):
+def _elem_norm(mult, V):
     if mult == 1:
-        return np.hypot(V[:, 0], V[:, 1])
-    return np.max(np.abs(V), axis=1)
+        return np.hypot(V[0], V[1])
+    return np.abs(V, out=V).max(axis=0)
 
 
-def _gs_residual_batch_numpy(fam, mult, M, w, axis, r, g, rho, unit, X, Y, inv_tol):
-    valid = _domain_mask_numpy(fam, axis, r, X) & _domain_mask_numpy(fam, axis, r, Y)
-    sx = _eval_batch_numpy(fam, M, w, axis, r, g, unit, X)
-    sy = _eval_batch_numpy(fam, M, w, axis, r, g, unit, Y)
-    valid &= (_min_spec_numpy(mult, sx) > inv_tol) & (_min_spec_numpy(mult, sy) > inv_tol)
-    Z = X + _mult_numpy(mult, sx, Y)
-    valid &= _domain_mask_numpy(fam, axis, r, Z)
-    sz = _eval_batch_numpy(fam, M, w, axis, r, g, unit, Z)
-    gs = _elem_norm_numpy(mult, sz - _mult_numpy(mult, sx, sy))
-    rho_b = np.broadcast_to(rho, X.shape)
-    nx = sx - unit - _mult_numpy(mult, rho_b, X)
-    ny = sy - unit - _mult_numpy(mult, rho_b, Y)
-    nz = sz - unit - _mult_numpy(mult, rho_b, Z)
-    goldie = _elem_norm_numpy(mult, nz - nx - _mult_numpy(mult, sx, ny))
-    gs = np.where(valid, gs, 0.0)
-    goldie = np.where(valid, goldie, 0.0)
-    return gs, goldie, valid.astype(np.uint8)
+def _block(fam, mult, M, w, axis, r, g, rho, unit, inv_tol, X, Y, gs, goldie, valid):
+    """Residuals of the pairs (X[p], Y[p]), written into the output slices.
+
+    Works on (d, rows) copies of X and Y.  Each array is dropped, or
+    overwritten in place, once it has been read for the last time, so at
+    most six blocks are held at once.
+    """
+    Xb = np.ascontiguousarray(X.T)
+    Yb = np.ascontiguousarray(Y.T)
+    ok = _in_domain(fam, axis, r, Xb) & _in_domain(fam, axis, r, Yb)
+    sx = _eval(fam, M, w, axis, r, g, unit, Xb)
+    sy = _eval(fam, M, w, axis, r, g, unit, Yb)
+    ok = ok & (_min_spec(mult, sx) > inv_tol) & (_min_spec(mult, sy) > inv_tol)
+    Zb = _mul(mult, sx, Yb)
+    Zb += Xb
+    ok = ok & _in_domain(fam, axis, r, Zb)
+    # the adjustor N(p) = S(p) - unit - rho p at x and y
+    nx = sx - unit
+    nx -= _mul(mult, rho, Xb, out=Xb)
+    del Xb
+    ny = sy - unit
+    ny -= _mul(mult, rho, Yb, out=Yb)
+    del Yb
+    sz = _eval(fam, M, w, axis, r, g, unit, Zb)
+    t = _mul(mult, sx, sy, out=sy)
+    np.subtract(sz, t, out=t)
+    np.copyto(gs, _elem_norm(mult, t), where=ok)
+    del sy, t
+    nz = sz
+    nz -= unit
+    nz -= _mul(mult, rho, Zb, out=Zb)
+    del Zb
+    nz -= nx
+    nz -= _mul(mult, sx, ny, out=ny)
+    np.copyto(goldie, _elem_norm(mult, nz), where=ok)
+    valid[:] = ok
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def gs_residual_batch(fam, mult, M, w, axis, r, g, rho, unit, X, Y, inv_tol,
-                      force_numpy: bool = False):
+def gs_residual_batch(fam, mult, M, w, axis, r, g, rho, unit, X, Y, inv_tol):
     """Per-pair residuals of the composition law and its adjustor equation.
 
     Returns ``(gs, goldie, valid)`` arrays of length ``len(X)``; entries of
     the residual arrays are zero wherever ``valid`` is 0 (pair rejected for
     leaving the group domain).
     """
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    rho = np.ascontiguousarray(rho, dtype=np.float64)
-    unit = np.ascontiguousarray(unit, dtype=np.float64)
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    args = (int(fam), int(mult), M, w, int(axis), float(r), float(g),
-            rho, unit, X, Y, float(inv_tol))
-    if NUMBA_ENABLED and not force_numpy:
-        with np.errstate(over="ignore"):
-            return _gs_residual_batch_loop(*args)
+    M = np.asarray(M, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    rho = np.asarray(rho, dtype=np.float64)[:, None]
+    unit = np.asarray(unit, dtype=np.float64)[:, None]
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    n, d = X.shape
+    gs = np.zeros(n)
+    goldie = np.zeros(n)
+    valid = np.zeros(n, dtype=np.uint8)
+    rows = max(256, BLOCK_COORDS // d)
+    args = (int(fam), int(mult), M, w, int(axis), float(r), float(g), rho, unit,
+            float(inv_tol))
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gs_residual_batch_numpy(*args)
+        for lo in range(0, n, rows):
+            blk = slice(lo, lo + rows)
+            _block(*args, X[blk], Y[blk], gs[blk], goldie[blk], valid[blk])
+    return gs, goldie, valid

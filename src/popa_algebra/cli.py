@@ -71,8 +71,19 @@ def _load_point(data, sol, name: str, where: str) -> Element:
         raise _InputError(f"bad element '{name}' in {where}: {exc}")
 
 
+def _strict(obj):
+    """Copy of a report with each non-finite float spelled as a string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _emit(report, output: str | None) -> None:
-    text = json.dumps(report, sort_keys=True) + "\n"
+    text = json.dumps(_strict(report), sort_keys=True, allow_nan=False) + "\n"
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
@@ -193,13 +204,23 @@ def _cmd_report(args) -> int:
                       seed=int(_field(params, "seed", "params")),
                       box_radius=float(_field(params, "box_radius", "params")))
     recorded = _field(data, "results", args.input)
-    match = json.dumps(fresh.to_json(), sort_keys=True) == json.dumps(
-        recorded, sort_keys=True)
-    _emit({"match": match, "results": fresh.to_json()}, args.output)
+    results = _strict(fresh.to_json())
+    match = json.dumps(results, sort_keys=True) == json.dumps(recorded, sort_keys=True)
+    _emit({"match": match, "results": results}, args.output)
     return 0 if match else 1
 
 
 # ---------------------------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -220,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sampled residuals of the composition law")
     common(p)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--box-radius", type=float, default=0.4)
     p.set_defaults(func=_cmd_verify)
 

@@ -520,7 +520,7 @@ def sample_box(algebra: AlgebraDescriptor, n: int, radius: float,
 
 
 def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
-              box_radius: float = 0.4, force_numpy: bool = False) -> GoldieResidualReport:
+              box_radius: float = 0.4) -> GoldieResidualReport:
     """Sample pairs in a box around 0 and measure both identity residuals.
 
     Pairs leaving the group domain (image spectrum within GROUP_REJECT_EPS
@@ -536,8 +536,7 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
     rho = rho_of(sol).coords
     unit = sol.algebra.unit().coords
     gs, goldie, valid = _kernels.gs_residual_batch(
-        fam, mult, M, w, axis, r, g, rho, unit, X, Y, GROUP_REJECT_EPS,
-        force_numpy=force_numpy)
+        fam, mult, M, w, axis, r, g, rho, unit, X, Y, GROUP_REJECT_EPS)
     n_valid = int(valid.sum())
     if n_valid < max(1, math.ceil(0.01 * n_samples)):
         raise DomainExhausted(f"{n_samples - n_valid} of {n_samples} samples rejected")

@@ -1,13 +1,24 @@
 """End-to-end CLI behaviour: exit codes, determinism, JSON shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import popa_algebra
 from popa_algebra.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 CANONICAL = {"variant": "Canonical", "rho": [1.0, 1.0],
              "algebra": {"kind": "HadamardRd", "dim": 2}}
 PARTITION = {"variant": "Partition", "parts": [[1, 2]], "rho": [1.0, 2.0],
              "algebra": {"kind": "HadamardRd", "dim": 2}}
+ONE_EXP = {"variant": "DegenerateExp", "form": "One_Exp", "axis": 0,
+           "gamma_exp": 1.3, "algebra": {"kind": "HadamardRd", "dim": 2}}
 PURE_POWER = {"variant": "DegenerateExp", "form": "Pure_Power", "axis": 0,
               "rho": 0.0, "gamma_exp": 1.5,
               "algebra": {"kind": "HadamardRd", "dim": 2}}
@@ -83,6 +94,48 @@ def test_report_roundtrip(tmp_path, capsys):
     code, out = _run(["report", "--input", rep_path], capsys)
     assert code == 0
     assert json.loads(out)["match"] is True
+
+
+@pytest.mark.parametrize("fixture", sorted(DATA.glob("replay_*.json")),
+                         ids=lambda p: p.stem)
+def test_report_replays_recorded_verify(fixture, capsys):
+    # verify stdout recorded before the kernel was blocked; never regenerated
+    code, out = _run(["report", "--input", str(fixture)], capsys)
+    assert code == 0
+    assert json.loads(out)["match"] is True
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_verify_non_finite_is_strict_json(tmp_path, capsys):
+    # exp overflows on part of a wide box, so some residuals are NaN
+    sol = _write(tmp_path, "sol.json", ONE_EXP)
+    rep_path = str(tmp_path / "rep.json")
+    code, _ = _run(["verify", "--input", sol, "--samples", "2000",
+                    "--box-radius", "1000", "--output", rep_path], capsys)
+    assert code == 1
+    text = Path(rep_path).read_text(encoding="utf-8")
+    rep = json.loads(text, parse_constant=_reject_constant)
+    assert rep["results"]["max_gs_residual"] == "NaN"
+    code, out = _run(["report", "--input", rep_path], capsys)
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["match"] is True
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_bad_samples_exits_two(tmp_path, samples):
+    sol = _write(tmp_path, "sol.json", ONE_EXP)
+    src = str(Path(popa_algebra.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "popa_algebra", "verify",
+                           "--input", sol, f"--samples={samples}"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "--samples" in proc.stderr
 
 
 def test_tilt_and_inverse(tmp_path, capsys):

@@ -1,8 +1,4 @@
-"""The two kernel paths must agree with each other and with the element ops."""
-
-import os
-import subprocess
-import sys
+"""The batch kernel must agree with the element ops, block by block."""
 
 import numpy as np
 import pytest
@@ -10,8 +6,9 @@ import pytest
 from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           DegenerateExpSolution, DegenerateForm,
                           IdempotentSolution, PartitionSolution, PartitionSpec,
-                          complex_plane, hadamard, rho_of)
+                          complex_plane, grid_interval, hadamard, rho_of)
 from popa_algebra import _kernels
+from popa_algebra.errors import NotInGroup
 from popa_algebra.solutions import GROUP_REJECT_EPS
 
 
@@ -32,27 +29,6 @@ def _zoo():
 
 @pytest.mark.parametrize("sol", _zoo(), ids=lambda s: s.variant + "/" +
                          getattr(s, "form", type("", (), {"value": ""})).value)
-def test_numba_and_numpy_paths_agree(sol):
-    rng = np.random.default_rng(42)
-    d = sol.algebra.dim
-    X = rng.uniform(-0.5, 0.5, size=(500, d))
-    Y = rng.uniform(-0.5, 0.5, size=(500, d))
-    fam, mult, M, w, axis, r, g = sol._kernel_args()
-    rho = rho_of(sol).coords
-    unit = sol.algebra.unit().coords
-    out_np = _kernels.gs_residual_batch(fam, mult, M, w, axis, r, g, rho, unit,
-                                        X, Y, GROUP_REJECT_EPS, force_numpy=True)
-    if not _kernels.NUMBA_ENABLED:
-        pytest.skip("numba not active in this process")
-    out_nb = _kernels.gs_residual_batch(fam, mult, M, w, axis, r, g, rho, unit,
-                                        X, Y, GROUP_REJECT_EPS)
-    assert np.array_equal(out_np[2], out_nb[2])
-    assert np.allclose(out_np[0], out_nb[0], rtol=0, atol=1e-13)
-    assert np.allclose(out_np[1], out_nb[1], rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("sol", _zoo(), ids=lambda s: s.variant + "/" +
-                         getattr(s, "form", type("", (), {"value": ""})).value)
 def test_kernel_matches_element_path(sol):
     # independent slow route: evaluate the residuals with Element arithmetic
     rng = np.random.default_rng(7)
@@ -64,7 +40,7 @@ def test_kernel_matches_element_path(sol):
     unit = sol.algebra.unit()
     gs, goldie, valid = _kernels.gs_residual_batch(
         fam, mult, M, w, axis, r, g, rho_el.coords, unit.coords, X, Y,
-        GROUP_REJECT_EPS, force_numpy=True)
+        GROUP_REJECT_EPS)
     for p in range(X.shape[0]):
         if not valid[p]:
             continue
@@ -79,18 +55,55 @@ def test_kernel_matches_element_path(sol):
         assert abs(goldie[p] - ref_goldie) < 1e-13
 
 
-def test_pure_numpy_env_flag():
-    code = ("import popa_algebra._kernels as k; "
-            "print(k.NUMBA_ENABLED)")
-    env = dict(os.environ, POPA_ALGEBRA_PURE_NUMPY="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+def _boundary_zoo():
+    grid = np.linspace(0.01, 0.99, 64)
+    parts64 = tuple(tuple(range(k, 64, 8)) for k in range(8))
+    rho64 = np.linspace(-1.0, 1.0, 64) / 8
+    return [
+        CanonicalSolution(complex_plane().element([0.5, 0.7])),
+        DegenerateExpSolution(DegenerateForm.ONE_EXP, axis=0, gamma_exp=1.3),
+        DegenerateExpSolution(DegenerateForm.PURE_POWER, axis=0, gamma_exp=1.5),
+        PartitionSolution(PartitionSpec(((0, 3), (1, 2, 5), (4,)),
+                                        np.array([0.4, -0.3, 0.2, -0.35, 0.5, 0.15]))),
+        PartitionSolution(PartitionSpec(parts64, rho64), grid_interval(grid)),
+    ]
 
 
-def test_thread_cap_env_accepted():
-    code = ("import popa_algebra._kernels as k; print(k.NUMBA_ENABLED)")
-    env = dict(os.environ, POPA_ALGEBRA_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() in ("True", "False")
+@pytest.mark.parametrize("sol", _boundary_zoo(),
+                         ids=lambda s: f"{s.variant}-d{s.algebra.dim}")
+def test_block_boundaries_match_element_path(sol):
+    # two full blocks and 5 pairs more; the 8 pairs on each side of both
+    # block boundaries are checked against Element arithmetic, their
+    # accept/reject verdict included
+    d = sol.algebra.dim
+    rows = max(256, _kernels.BLOCK_COORDS // d)
+    n = 2 * rows + 5
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-0.4, 0.4, size=(n, d))
+    Y = rng.uniform(-0.4, 0.4, size=(n, d))
+    fam, mult, M, w, axis, r, g = sol._kernel_args()
+    rho_el = rho_of(sol)
+    unit = sol.algebra.unit()
+    gs, goldie, valid = _kernels.gs_residual_batch(
+        fam, mult, M, w, axis, r, g, rho_el.coords, unit.coords, X, Y,
+        GROUP_REJECT_EPS)
+    assert gs.shape == goldie.shape == valid.shape == (n,)
+    edges = [*range(rows - 8, rows + 8), *range(2 * rows - 8, n)]
+    assert valid[edges].any()
+    for p in edges:
+        x, y = sol.algebra.element(X[p]), sol.algebra.element(Y[p])
+        try:
+            sx, sy = sol.eval(x), sol.eval(y)
+            z = x + sx * y
+            sz = sol.eval(z)
+            in_group = (sx.is_invertible(GROUP_REJECT_EPS)
+                        and sy.is_invertible(GROUP_REJECT_EPS))
+        except NotInGroup:
+            in_group = False
+        assert bool(valid[p]) == in_group
+        if not in_group:
+            assert gs[p] == goldie[p] == 0.0
+            continue
+        n_of = lambda pt, spt: spt - unit - rho_el * pt
+        assert abs(gs[p] - (sz - sx * sy).norm()) < 1e-13
+        assert abs(goldie[p] - (n_of(z, sz) - n_of(x, sx) - sx * n_of(y, sy)).norm()) < 1e-13
