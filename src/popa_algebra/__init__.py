@@ -13,7 +13,8 @@ from .errors import (ConstraintViolated, DimensionMismatch, DomainExhausted,
 from .solutions import (CanonicalSolution, ComplexReImSolution,
                         DegenerateExpSolution, DegenerateForm,
                         GoldieResidualReport, GsSolution, IdempotentSolution,
-                        LinearCandidate, PartitionSolution, PartitionSpec, adjustor,
+                        LinearCandidate, LinearSolution, PartitionSolution,
+                        PartitionSpec, adjustor,
                         check_omega_homogeneity, circle_inv, circle_op,
                         decomposition_check, dichotomy_check, eval_solution,
                         gamma, gamma_fd, popa_isomorphism_check, rho_of,

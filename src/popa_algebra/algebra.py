@@ -324,39 +324,3 @@ def exp_ratio_scalar(z, t: float):
 def growth_scalar(z, t: float):
     """(e^{tz} - 1)/z, with the limiting value t at z = 0."""
     return t * mu_scalar(t * z)
-
-
-# ---------------------------------------------------------------------------
-# free-function forms of the core operations
-# ---------------------------------------------------------------------------
-
-def add(a: Element, b: Element) -> Element:
-    return a + b
-
-
-def mul(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def invert(a: Element) -> Element:
-    return a.invert()
-
-
-def exp(a: Element) -> Element:
-    return a.exp()
-
-
-def log_principal(a: Element) -> Element:
-    return a.log()
-
-
-def spectrum(a: Element) -> Spectrum:
-    return a.spectrum()
-
-
-def norm(a: Element) -> float:
-    return a.norm()
-
-
-def mu(a: Element) -> Element:
-    return a.mu()

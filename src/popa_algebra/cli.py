@@ -16,10 +16,10 @@ from pathlib import Path
 
 from .algebra import Element
 from .errors import NoConvergence, PopaAlgebraError
-from .solutions import eval_solution, solution_from_json, verify_gs
+from .solutions import (PartitionSolution, eval_solution, solution_from_json,
+                        verify_gs)
 from .special import st_roots, wj_build_S, wj_extract, xi_root
 from .structure import SigmaMatrix, analyse_sigma, classify_2d
-from .structure import PartitionSolution
 from .tilting import tilt_T, tilt_inverse, tilt_solve_fixed_point
 
 
@@ -54,7 +54,7 @@ def _load_solution(data: dict, where: str):
     sol_data = _field(data, "solution", where) if "solution" in data else data
     try:
         return solution_from_json(sol_data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"bad solution object in {where}: missing or invalid "
                           f"field {exc}")
     except PopaAlgebraError as exc:
@@ -64,11 +64,12 @@ def _load_solution(data: dict, where: str):
 def _load_point(data, sol, name: str, where: str) -> Element:
     raw = _field(data, name, where)
     try:
-        if isinstance(raw, dict):
-            return Element.from_json(raw)
-        return sol.algebra.element(raw)
+        point = Element.from_json(raw) if isinstance(raw, dict) else sol.algebra.element(raw)
     except (PopaAlgebraError, TypeError, ValueError) as exc:
         raise _InputError(f"bad element '{name}' in {where}: {exc}")
+    if not all(map(math.isfinite, point.coords)):
+        raise _InputError(f"bad element '{name}' in {where}: coordinates must be finite")
+    return point
 
 
 def _strict(obj):
@@ -176,7 +177,8 @@ def _cmd_wj(args) -> int:
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
     raw_samples = _field(data, "lambda_samples", args.input)
-    lams = [_load_point({"x": s}, sol, "x", args.input) for s in raw_samples]
+    lams = [_load_point({"lambda_samples": s}, sol, "lambda_samples", args.input)
+            for s in raw_samples]
     triple = wj_extract(sol, lams, tol=args.tol)
     oracle = wj_build_S(triple, tol=max(args.tol, 1e-9))
     worst = 0.0
@@ -200,9 +202,9 @@ def _cmd_report(args) -> int:
     sol = _load_solution({"solution": _field(data, "solution", args.input)},
                          args.input)
     fresh = verify_gs(sol,
-                      n_samples=int(_field(params, "samples", "params")),
-                      seed=int(_field(params, "seed", "params")),
-                      box_radius=float(_field(params, "box_radius", "params")))
+                      n_samples=_param(params, "samples", _positive_int, args.input),
+                      seed=_param(params, "seed", int, args.input),
+                      box_radius=_param(params, "box_radius", _radius, args.input))
     recorded = _field(data, "results", args.input)
     results = _strict(fresh.to_json())
     match = json.dumps(results, sort_keys=True) == json.dumps(recorded, sort_keys=True)
@@ -220,6 +222,25 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _radius(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
+def _param(params: dict, name: str, parse, where: str):
+    """A recorded verify parameter, under the check its command-line flag uses."""
+    value = _field(params, name, f"params of {where}")
+    try:
+        return parse(str(value))
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise _InputError(f"bad field '{name}' in params of {where}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sampled residuals of the composition law")
     common(p)
     p.add_argument("--samples", type=_positive_int, default=10000)
-    p.add_argument("--box-radius", type=float, default=0.4)
+    p.add_argument("--box-radius", type=_radius, default=0.4)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tilt", help="apply the tilting map to a point")
@@ -260,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-st", help="roots of e^w = 1 + w, Re w > 0")
     common(p, input_required=False)
-    p.add_argument("--n-roots", type=int, default=10)
+    p.add_argument("--n-roots", type=_positive_int, default=10)
     p.set_defaults(func=_cmd_solve_st)
 
     p = sub.add_parser("xi", help="the boundary root of e^{-x} = x - 1")

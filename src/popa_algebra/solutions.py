@@ -1,7 +1,9 @@
 """Continuous solution families of the composition law S(x + S(x)y) = S(x)S(y).
 
 Each family knows how to evaluate itself, expose the derivative at the
-origin, and serialize to JSON.  The induced group operation, the adjustor
+origin, and serialize to JSON.  Every linear family is one map, unit + M x,
+held by ``LinearSolution``; the univariate-driven forms are
+``DegenerateExpSolution``.  The induced group operation, the adjustor
 (deviation from the affine form), and sampled verification of the defining
 identities live here as free functions.
 """
@@ -16,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .algebra import (AlgebraDescriptor, AlgebraKind, Element, hadamard)
+from .algebra import AlgebraDescriptor, Element, complex_plane, hadamard
 from .errors import (ConstraintViolated, DimensionMismatch, DomainExhausted,
                      NotDifferentiable, NotInGroup, NotInvertible,
                      NotOrthogonalIdempotents, UnitNotInGroup)
@@ -139,69 +141,134 @@ class GsSolution:
         return f"{type(self).__name__}({self.params_json()})"
 
 
-def _zeros_args(dim):
-    return np.zeros((dim, dim)), np.zeros(dim)
+class LinearSolution(GsSolution):
+    """The linear map S(x) = unit + M x (algebra product), M a real d x d matrix.
 
+    The affine, partition, complex real-linear and idempotent families are
+    all this map; the constructor functions below build M and keep each
+    family's ``variant`` name and JSON fields.  The solution takes M over and
+    makes it read-only, so ``gamma_matrix`` returns it without a copy.
+    ``omega_homogeneous`` is False only for ``LinearCandidate``, whose M need
+    not satisfy the row-coupling constraint.
+    """
 
-class CanonicalSolution(GsSolution):
-    """The affine family S(x) = unit + rho * x (algebra product)."""
-
-    variant = "Canonical"
-
-    def __init__(self, rho: Element):
-        self.rho = rho
-        self.algebra = rho.algebra
+    def __init__(self, M, algebra: AlgebraDescriptor, variant: str, params: dict,
+                 omega_homogeneous: bool = True):
+        M = np.asarray(M, dtype=float)
+        if M.shape != (algebra.dim, algebra.dim):
+            raise DimensionMismatch("matrix size does not match the algebra")
+        M.flags.writeable = False
+        self.M = M
+        self.algebra = algebra
+        self.variant = variant
+        self._params = params
+        self._omega_homogeneous = omega_homogeneous
 
     def eval(self, x: Element) -> Element:
         self._check_point(x)
-        return self.algebra.unit() + self.rho * x
+        return Element(self.algebra.unit().coords + self.M @ x.coords, self.algebra)
 
     def gamma_matrix(self) -> np.ndarray:
-        if self.algebra.componentwise:
-            return np.diag(self.rho.coords)
-        a, b = self.rho.coords
-        return np.array([[a, -b], [b, a]])
+        return self.M
 
     def omega_homogeneous(self) -> bool:
-        return True
+        return self._omega_homogeneous
 
     def _kernel_args(self):
         mult = 0 if self.algebra.componentwise else 1
-        return 0, mult, self.gamma_matrix(), np.zeros(self.algebra.dim), 0, 0.0, 1.0
+        return 0, mult, self.M, np.zeros(self.algebra.dim), 0, 0.0, 1.0
 
     def params_json(self) -> dict:
-        return {"rho": list(map(float, self.rho.coords))}
+        return self._params
 
 
-class PartitionSolution(GsSolution):
+def CanonicalSolution(rho: Element) -> LinearSolution:
+    """The affine family S(x) = unit + rho * x (algebra product)."""
+    if rho.algebra.componentwise:
+        M = np.diag(rho.coords)
+    else:
+        a, b = rho.coords
+        M = np.array([[a, -b], [b, a]])
+    return LinearSolution(M, rho.algebra, "Canonical",
+                          {"rho": list(map(float, rho.coords))})
+
+
+def PartitionSolution(spec: PartitionSpec,
+                      algebra: Optional[AlgebraDescriptor] = None) -> LinearSolution:
     """Row-coupled linear family on a componentwise algebra."""
+    algebra = algebra if algebra is not None else hadamard(spec.dim)
+    if not algebra.componentwise:
+        raise DimensionMismatch("partition solutions need a componentwise algebra")
+    if algebra.dim != spec.dim:
+        raise DimensionMismatch("partition dimension does not match the algebra")
+    return LinearSolution(spec.sigma_matrix(), algebra, "Partition", spec.to_json())
 
-    variant = "Partition"
 
-    def __init__(self, spec: PartitionSpec, algebra: Optional[AlgebraDescriptor] = None):
-        self.spec = spec
-        self.algebra = algebra if algebra is not None else hadamard(spec.dim)
-        if not self.algebra.componentwise:
-            raise DimensionMismatch("partition solutions need a componentwise algebra")
-        if self.algebra.dim != spec.dim:
-            raise DimensionMismatch("partition dimension does not match the algebra")
-        self._sigma = self.spec.sigma_matrix()
+def ComplexReImSolution(a: float, b: float) -> LinearSolution:
+    """Real-linear family on the complex plane: S(z) = 1 + a Re z + b Im z.
 
-    def eval(self, x: Element) -> Element:
-        self._check_point(x)
-        return Element(1.0 + self._sigma @ x.coords, self.algebra)
+    Real-linear but not complex-linear: the derivative takes real values,
+    so power-raising holds.
+    """
+    a, b = float(a), float(b)
+    return LinearSolution(np.array([[a, b], [0.0, 0.0]]), complex_plane(),
+                          "ComplexReIm", {"a": a, "b": b})
 
-    def gamma_matrix(self) -> np.ndarray:
-        return self._sigma.copy()
 
-    def omega_homogeneous(self) -> bool:
-        return True
+def IdempotentSolution(idempotents: Sequence[Element], sigma: Sequence[float],
+                       algebra: Optional[AlgebraDescriptor] = None) -> LinearSolution:
+    """Linear family built from orthogonal idempotents and a functional.
 
-    def _kernel_args(self):
-        return 0, 0, self._sigma, np.zeros(self.algebra.dim), 0, 0.0, 1.0
+    nu(x) = sum_i sigma(e_i x) e_i and the map is unit + nu(x); on a
+    componentwise algebra the idempotents are disjoint 0/1 indicator
+    vectors, so this coincides with a partition family.
+    """
+    if not idempotents and algebra is None:
+        raise DimensionMismatch("need an algebra when no idempotents are given")
+    algebra = algebra if algebra is not None else idempotents[0].algebra
+    idempotents = tuple(idempotents)
+    sigma = np.array(sigma, dtype=float)
+    if sigma.shape != (algebra.dim,):
+        raise DimensionMismatch("sigma coefficients must match the dimension")
+    for e in idempotents:
+        if e.algebra != algebra:
+            raise DimensionMismatch("idempotents must share the algebra")
+    _check_orthogonal_idempotents(idempotents)
+    d = algebra.dim
+    nu = np.zeros((d, d))
+    for j in range(d):
+        basis = algebra.element(np.eye(d)[j])
+        acc = algebra.zero()
+        for e in idempotents:
+            acc = acc + float(sigma @ (e * basis).coords) * e
+        nu[:, j] = acc.coords
+    return LinearSolution(nu, algebra, "IdempotentBuilt",
+                          {"idempotents": [list(map(float, e.coords)) for e in idempotents],
+                           "sigma": list(map(float, sigma))})
 
-    def params_json(self) -> dict:
-        return self.spec.to_json()
+
+def LinearCandidate(matrix, algebra: Optional[AlgebraDescriptor] = None) -> LinearSolution:
+    """Arbitrary unit-plus-linear candidate map x -> unit + M x.
+
+    Not necessarily a solution: used to measure how badly a coefficient
+    matrix that fails the row-coupling constraint violates the law.
+    """
+    M = np.array(matrix, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch("matrix must be square")
+    algebra = algebra if algebra is not None else hadamard(M.shape[0])
+    return LinearSolution(M, algebra, "LinearCandidate",
+                          {"matrix": [list(map(float, row)) for row in M]},
+                          omega_homogeneous=False)
+
+
+def _check_orthogonal_idempotents(elements: Sequence[Element], tol: float = IDEMPOTENT_TOL):
+    for i, e in enumerate(elements):
+        if (e * e - e).norm() > tol:
+            raise NotOrthogonalIdempotents(f"element {i} is not idempotent")
+        for j in range(i + 1, len(elements)):
+            if (e * elements[j]).norm() > tol:
+                raise NotOrthogonalIdempotents(f"elements {i} and {j} are not orthogonal")
 
 
 class DegenerateExpSolution(GsSolution):
@@ -308,134 +375,6 @@ class DegenerateExpSolution(GsSolution):
         return out
 
 
-class ComplexReImSolution(GsSolution):
-    """Real-linear family on the complex plane: S(z) = 1 + a Re z + b Im z."""
-
-    variant = "ComplexReIm"
-
-    def __init__(self, a: float, b: float):
-        self.a = float(a)
-        self.b = float(b)
-        self.algebra = AlgebraDescriptor(AlgebraKind.COMPLEX_AS_R2, 2)
-
-    def eval(self, x: Element) -> Element:
-        self._check_point(x)
-        return Element([1.0 + self.a * x.coords[0] + self.b * x.coords[1], 0.0],
-                       self.algebra)
-
-    def gamma_matrix(self) -> np.ndarray:
-        # real-linear but not complex-linear: image is the real axis
-        return np.array([[self.a, self.b], [0.0, 0.0]])
-
-    def omega_homogeneous(self) -> bool:
-        # the derivative takes real values, so power-raising holds
-        return True
-
-    def _kernel_args(self):
-        return 0, 1, self.gamma_matrix(), np.zeros(2), 0, 0.0, 1.0
-
-    def params_json(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
-
-class IdempotentSolution(GsSolution):
-    """Linear family built from orthogonal idempotents and a functional.
-
-    nu(x) = sum_i sigma(e_i x) e_i and the map is unit + nu(x); on a
-    componentwise algebra the idempotents are disjoint 0/1 indicator
-    vectors, so this coincides with a partition family.
-    """
-
-    variant = "IdempotentBuilt"
-
-    def __init__(self, idempotents: Sequence[Element], sigma: Sequence[float],
-                 algebra: Optional[AlgebraDescriptor] = None):
-        if not idempotents and algebra is None:
-            raise DimensionMismatch("need an algebra when no idempotents are given")
-        self.algebra = algebra if algebra is not None else idempotents[0].algebra
-        self.idempotents = tuple(idempotents)
-        self.sigma = np.array(sigma, dtype=float)
-        if self.sigma.shape != (self.algebra.dim,):
-            raise DimensionMismatch("sigma coefficients must match the dimension")
-        for e in self.idempotents:
-            if e.algebra != self.algebra:
-                raise DimensionMismatch("idempotents must share the algebra")
-        _check_orthogonal_idempotents(self.idempotents)
-        self._nu = self._nu_matrix()
-
-    def _nu_matrix(self) -> np.ndarray:
-        d = self.algebra.dim
-        M = np.zeros((d, d))
-        for j in range(d):
-            basis = self.algebra.element(np.eye(d)[j])
-            acc = self.algebra.zero()
-            for e in self.idempotents:
-                acc = acc + float(self.sigma @ (e * basis).coords) * e
-            M[:, j] = acc.coords
-        return M
-
-    def eval(self, x: Element) -> Element:
-        self._check_point(x)
-        return Element(self.algebra.unit().coords + self._nu @ x.coords, self.algebra)
-
-    def gamma_matrix(self) -> np.ndarray:
-        return self._nu.copy()
-
-    def omega_homogeneous(self) -> bool:
-        return True
-
-    def _kernel_args(self):
-        mult = 0 if self.algebra.componentwise else 1
-        return 0, mult, self._nu, np.zeros(self.algebra.dim), 0, 0.0, 1.0
-
-    def params_json(self) -> dict:
-        return {"idempotents": [list(map(float, e.coords)) for e in self.idempotents],
-                "sigma": list(map(float, self.sigma))}
-
-
-class LinearCandidate(GsSolution):
-    """Arbitrary unit-plus-linear candidate map x -> unit + M x.
-
-    Not necessarily a solution: used to measure how badly a coefficient
-    matrix that fails the row-coupling constraint violates the law.
-    """
-
-    variant = "LinearCandidate"
-
-    def __init__(self, matrix, algebra: Optional[AlgebraDescriptor] = None):
-        M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionMismatch("matrix must be square")
-        self.matrix = M
-        self.algebra = algebra if algebra is not None else hadamard(M.shape[0])
-        if self.algebra.dim != M.shape[0]:
-            raise DimensionMismatch("matrix size does not match the algebra")
-
-    def eval(self, x: Element) -> Element:
-        self._check_point(x)
-        return Element(self.algebra.unit().coords + self.matrix @ x.coords,
-                       self.algebra)
-
-    def gamma_matrix(self) -> np.ndarray:
-        return self.matrix.copy()
-
-    def _kernel_args(self):
-        mult = 0 if self.algebra.componentwise else 1
-        return 0, mult, self.matrix, np.zeros(self.algebra.dim), 0, 0.0, 1.0
-
-    def params_json(self) -> dict:
-        return {"matrix": [list(map(float, row)) for row in self.matrix]}
-
-
-def _check_orthogonal_idempotents(elements: Sequence[Element], tol: float = IDEMPOTENT_TOL):
-    for i, e in enumerate(elements):
-        if (e * e - e).norm() > tol:
-            raise NotOrthogonalIdempotents(f"element {i} is not idempotent")
-        for j in range(i + 1, len(elements)):
-            if (e * elements[j]).norm() > tol:
-                raise NotOrthogonalIdempotents(f"elements {i} and {j} are not orthogonal")
-
-
 def solution_from_json(data: dict) -> GsSolution:
     algebra = AlgebraDescriptor.from_json(data["algebra"])
     variant = data["variant"]
@@ -492,9 +431,6 @@ def rho_of(sol: GsSolution) -> Element:
 def adjustor(sol: GsSolution, x: Element) -> Element:
     """Deviation from the affine form: S(x) - unit - rho x."""
     return sol.eval(x) - sol.algebra.unit() - rho_of(sol) * x
-
-
-adjustor_N = adjustor
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, Element
 from .errors import InvalidTriple, NotInRange
-from .solutions import GsSolution, IdempotentSolution
+from .solutions import GsSolution, IdempotentSolution, LinearSolution
 from .structure import null_space_basis
 
 TWO_PI = 2.0 * math.pi
@@ -326,7 +326,7 @@ def wj_extract(sol: GsSolution, lambda_samples: Sequence[Element],
 # ---------------------------------------------------------------------------
 
 def idempotent_solution(algebra: AlgebraDescriptor, idempotents: Sequence[Element],
-                        sigma: Sequence[float]) -> IdempotentSolution:
+                        sigma: Sequence[float]) -> LinearSolution:
     """Solution unit + sum_i sigma(e_i x) e_i from orthogonal idempotents.
 
     Raises NotOrthogonalIdempotents unless e_i e_j = delta_ij e_i holds to

@@ -16,8 +16,7 @@ import numpy as np
 
 from .algebra import Element, grid_interval, hadamard
 from .errors import ConstraintViolated, UnsupportedDimension
-from .solutions import (CanonicalSolution, DegenerateExpSolution, GsSolution,
-                        IdempotentSolution, PartitionSpec, PartitionSolution,
+from .solutions import (GsSolution, LinearSolution, PartitionSpec, PartitionSolution,
                         circle_op)
 
 DEFAULT_ROW_TOL = 1e-9
@@ -152,17 +151,17 @@ def _classify_partition_2d(spec: PartitionSpec) -> TwoDClassification:
 
 
 def classify_2d(sol: GsSolution) -> TwoDClassification:
-    """Assign one of the four two-dimensional classes to a represented solution."""
+    """Assign one of the four two-dimensional classes to a represented solution.
+
+    A linear solution is classified by the partition recovered from its
+    derivative matrix, so a candidate matrix that fails the row-coupling
+    constraint raises ConstraintViolated.
+    """
     if not sol.algebra.componentwise or sol.algebra.dim != 2:
         raise UnsupportedDimension("classification applies on the 2-d componentwise algebra")
-    if isinstance(sol, DegenerateExpSolution):
+    if sol.variant == "DegenerateExp":
         return TwoDClassification(TwoDClass.DEGENERATE_UNIVARIATE, sol.params_json())
-    if isinstance(sol, PartitionSolution):
-        return _classify_partition_2d(sol.spec)
-    if isinstance(sol, (CanonicalSolution, IdempotentSolution)):
-        spec = recover_partition(SigmaMatrix(sol.gamma_matrix()))
-        return _classify_partition_2d(spec)
-    raise UnsupportedDimension(f"cannot classify variant {sol.variant}")
+    return _classify_partition_2d(recover_partition(SigmaMatrix(sol.gamma_matrix())))
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ def analyse_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureRepo
 
 
 def grid_cinterval_solution(grid: Sequence[float], rho_values: Sequence[float],
-                            parts: Sequence[Sequence[int]]) -> PartitionSolution:
+                            parts: Sequence[Sequence[int]]) -> LinearSolution:
     """Partition solution on the sampled-interval algebra.
 
     ``parts`` uses 0-based grid indices; all-singleton parts reduce to the

@@ -138,6 +138,50 @@ def test_verify_bad_samples_exits_two(tmp_path, samples):
     assert "--samples" in proc.stderr
 
 
+def _report_with(samples):
+    data = json.loads((DATA / "replay_one_exp.json").read_text(encoding="utf-8"))
+    data["params"]["samples"] = samples
+    return data
+
+
+NAN_POINT = [float("nan"), 0.1]
+
+#: (verb and flags, input file or None, what the diagnostic names)
+BAD_INPUTS = {
+    "report-samples-0": (["report"], _report_with(0), "'samples'"),
+    "report-samples-fraction": (["report"], _report_with(2.5), "'samples'"),
+    "report-samples-text": (["report"], _report_with("many"), "'samples'"),
+    "solve-st-n-roots-0": (["solve-st", "--n-roots", "0"], None, "--n-roots"),
+    "verify-box-radius-negative": (["verify", "--box-radius", "-1"], ONE_EXP,
+                                   "--box-radius"),
+    "verify-box-radius-nan": (["verify", "--box-radius", "nan"], ONE_EXP, "--box-radius"),
+    "verify-text-in-rho": (["verify"], dict(CANONICAL, rho=["one", 1.0]),
+                           "bad solution object"),
+    "tilt-nan-u": (["tilt"], {"solution": CANONICAL, "u": NAN_POINT}, "'u'"),
+    "invert-tilt-nan-v": (["invert-tilt"], {"solution": CANONICAL, "v": NAN_POINT},
+                          "'v'"),
+    "solve-tilt-nan-v": (["solve-tilt"], {"solution": CANONICAL, "v": NAN_POINT}, "'v'"),
+    "wj-nan-lambda": (["wj"], {"solution": CANONICAL,
+                               "lambda_samples": [[0.5, 2.0], NAN_POINT]},
+                      "'lambda_samples'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_two_without_traceback(tmp_path, case):
+    argv, data, named = BAD_INPUTS[case]
+    if data is not None:
+        argv = argv + ["--input", _write(tmp_path, "in.json", data)]
+    src = str(Path(popa_algebra.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "popa_algebra", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
+
+
 def test_tilt_and_inverse(tmp_path, capsys):
     path = _write(tmp_path, "in.json",
                   {"solution": PARTITION, "u": [0.3, 0.2], "v": [0.1, 0.1]})

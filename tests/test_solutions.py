@@ -1,5 +1,6 @@
 """Solution families: evaluation, group structure, adjustor, verification."""
 
+import json
 import math
 
 import numpy as np
@@ -9,11 +10,11 @@ from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           ConstraintViolated, DegenerateExpSolution,
                           DegenerateForm, DomainExhausted, IdempotentSolution,
                           LinearCandidate, NotInGroup, NotInvertible,
-                          PartitionSolution, PartitionSpec, adjustor,
-                          check_omega_homogeneity, circle_inv, circle_op,
+                          NotOmegaHomogeneous, PartitionSolution, PartitionSpec,
+                          adjustor, check_omega_homogeneity, circle_inv, circle_op,
                           complex_plane, decomposition_check, dichotomy_check,
                           gamma, gamma_fd, hadamard, popa_isomorphism_check,
-                          rho_of, solution_from_json, verify_gs)
+                          rho_of, solution_from_json, tilt_inverse, verify_gs)
 from popa_algebra.errors import NotDifferentiable
 
 E = math.e
@@ -48,6 +49,7 @@ def variant_zoo():
                               gamma_exp=1.8),
         ComplexReImSolution(0.4, 1.5),
         IdempotentSolution([A2.element([1, 0]), A2.element([0, 1])], [1.0, 1.0], A2),
+        LinearCandidate([[0.6, -1.1], [0.6, -1.1]]),   # rows coupled: a solution
     ]
 
 
@@ -70,6 +72,54 @@ def test_eval_exponential_form():
     sol = one_exp_2d(1.0)
     got = sol.eval(A2.element([1, 5])).coords
     assert np.allclose(got, [1.0, E])
+
+
+def test_linear_constructors_match_their_closed_forms():
+    # each constructor builds one unit + M x map; it must agree with the
+    # family's own formula, evaluated with plain Element arithmetic
+    C = complex_plane()
+    rho, rho_c = A3.element([0.8, -0.6, 0.3]), C.element([0.5, 0.7])
+    spec = PartitionSpec(((0, 2), (1,)), np.array([1.0, -0.5, 0.25]))
+    idems = [A3.element([1, 0, 1]), A3.element([0, 1, 0])]
+    sigma = np.array([0.3, -1.2, 0.9])
+    matrix = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75], [0.0, 3.0, 1.0]])
+    cases = [
+        (CanonicalSolution(rho), lambda x: A3.unit() + rho * x),
+        (CanonicalSolution(rho_c), lambda x: C.unit() + rho_c * x),
+        (PartitionSolution(spec), lambda x: A3.element(1.0 + spec.sigma_matrix() @ x.coords)),
+        (ComplexReImSolution(0.4, 1.5),
+         lambda x: C.element([1.0 + 0.4 * x.coords[0] + 1.5 * x.coords[1], 0.0])),
+        (IdempotentSolution(idems, sigma, A3),
+         lambda x: A3.unit() + sum((float(sigma @ (e * x).coords) * e for e in idems),
+                                   A3.zero())),
+        (LinearCandidate(matrix), lambda x: A3.element(1.0 + matrix @ x.coords)),
+    ]
+    rng = np.random.default_rng(31)
+    for sol, closed_form in cases:
+        for _ in range(200):
+            x = sol.algebra.element(rng.uniform(-2.0, 2.0, sol.algebra.dim))
+            want = closed_form(x)
+            assert (sol.eval(x) - want).norm() <= 1e-15 * max(1.0, want.norm())
+
+
+def test_linear_gamma_matrix_is_shared_and_read_only():
+    for sol in variant_zoo():
+        if sol.variant == "DegenerateExp":
+            continue
+        M = sol.gamma_matrix()
+        assert M is sol.gamma_matrix()
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+
+
+def test_tilt_inverse_rejects_linear_candidate():
+    # even a candidate whose rows are coupled is not validated for the
+    # closed-form inverse, unlike the same matrix built as a partition
+    cand = LinearCandidate([[1.0, 2.0], [1.0, 2.0]])
+    assert not cand.omega_homogeneous()
+    assert codependent(1.0, 2.0).omega_homogeneous()
+    with pytest.raises(NotOmegaHomogeneous):
+        tilt_inverse(cand, A2.element([0.01, 0.02]))
 
 
 def test_unit_image_for_every_variant():
@@ -373,8 +423,10 @@ def test_phantom_homogeneity_partition():
 def test_solution_json_roundtrip():
     for sol in variant_zoo():
         data = sol.to_json()
-        back = solution_from_json(data)
+        text = json.dumps(data, sort_keys=True)
+        back = solution_from_json(json.loads(text))
         rng = np.random.default_rng(1)
         x = sol.algebra.element(rng.uniform(-0.3, 0.3, sol.algebra.dim))
         assert (back.eval(x) - sol.eval(x)).norm() < 1e-15
         assert back.to_json() == data
+        assert json.dumps(back.to_json(), sort_keys=True) == text

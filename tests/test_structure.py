@@ -1,5 +1,7 @@
 """Coefficient-matrix validation, partition recovery, kernels, factorization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from popa_algebra import (ConstraintViolated, LinearCandidate,
 from popa_algebra import CanonicalSolution, ComplexReImSolution
 from popa_algebra import DegenerateExpSolution, DegenerateForm
 from popa_algebra import IdempotentSolution
+from popa_algebra.cli import main
 from conftest import perturbed_sigma, random_partition_spec
 
 A2 = hadamard(2)
@@ -81,6 +84,39 @@ def test_classify_examples():
     idem = IdempotentSolution([A2.element([1, 0]), A2.element([0, 1])],
                               [1.0, 1.0], A2)
     assert classify_2d(idem).cls is TwoDClass.INDEPENDENT
+
+
+@pytest.mark.parametrize("sol, want", [
+    (PartitionSolution(PartitionSpec(((0, 1),), np.array([1.0, -2.0]))), "CoDependent"),
+    (PartitionSolution(PartitionSpec(((0,), (1,)), np.array([0.5, 2.0]))), "Independent"),
+    (PartitionSolution(PartitionSpec(((0, 1),), np.array([0.0, 0.0]))), "Trivial"),
+    (CanonicalSolution(A2.element([1.0, 2.0])), "Independent"),
+    (CanonicalSolution(A2.element([0.0, 3.0])), "Independent"),
+    (IdempotentSolution([A2.element([1, 0]), A2.element([0, 1])], [1.0, 1.0], A2),
+     "Independent"),
+    (IdempotentSolution([A2.unit()], [1.0, 2.0], A2), "CoDependent"),
+    (LinearCandidate([[0.5, 1.5], [0.5, 1.5]]), "CoDependent"),
+    (LinearCandidate(np.zeros((2, 2))), "Trivial"),
+], ids=lambda v: v if isinstance(v, str) else v.variant)
+def test_classify_2d_agrees_with_classify_of_its_matrix(sol, want, tmp_path, capsys):
+    got = classify_2d(sol)
+    assert got.cls.value == want
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps({"sigma": sol.gamma_matrix().tolist()}), encoding="utf-8")
+    assert main(["classify", "--input", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["class"] == want
+    assert got.params.get("rho", [0.0, 0.0]) == rep["rho"]
+
+
+def test_classify_invalid_candidate_is_a_constraint_violation(tmp_path, capsys):
+    cand = LinearCandidate([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ConstraintViolated):
+        classify_2d(cand)
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(cand.to_json()), encoding="utf-8")
+    assert main(["classify", "--input", str(path)]) == 2
+    assert "ConstraintViolated" in capsys.readouterr().err
 
 
 def test_classify_wrong_dimension_or_kind():
