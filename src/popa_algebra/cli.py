@@ -16,10 +16,10 @@ from pathlib import Path
 
 from .algebra import Element
 from .errors import NoConvergence, PopaAlgebraError
-from .solutions import (PartitionSolution, eval_solution, solution_from_json,
-                        verify_gs)
+from .solutions import eval_solution, solution_from_json, verify_gs
 from .special import st_roots, wj_build_S, wj_extract, xi_root
-from .structure import SigmaMatrix, analyse_sigma, classify_2d
+from .structure import (SigmaMatrix, analyse_sigma, classify_2d,
+                        classify_partition_2d)
 from .tilting import tilt_T, tilt_inverse, tilt_solve_fixed_point
 
 
@@ -105,11 +105,11 @@ def _cmd_classify(args) -> int:
         analysis = analyse_sigma(m, args.tol)
         report = analysis.to_json()
         if analysis.valid and m.dim == 2:
-            report["class"] = classify_2d(PartitionSolution(analysis.partition)).cls.value
+            report["class"] = classify_partition_2d(analysis.partition).cls.value
         _emit(report, args.output)
         return 0 if analysis.valid else 1
     sol = _load_solution(data, args.input)
-    result = classify_2d(sol)
+    result = classify_2d(sol, args.tol)
     _emit(result.to_json(), args.output)
     return 0
 
@@ -204,7 +204,7 @@ def _cmd_report(args) -> int:
     fresh = verify_gs(sol,
                       n_samples=_param(params, "samples", _positive_int, args.input),
                       seed=_param(params, "seed", int, args.input),
-                      box_radius=_param(params, "box_radius", _radius, args.input))
+                      box_radius=_param(params, "box_radius", _finite_nonnegative, args.input))
     recorded = _field(data, "results", args.input)
     results = _strict(fresh.to_json())
     match = json.dumps(results, sort_keys=True) == json.dumps(recorded, sort_keys=True)
@@ -224,7 +224,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _radius(text: str) -> float:
+def _finite_nonnegative(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         if input_required:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_finite_nonnegative, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("classify", help="classify a sigma matrix or a 2-d solution")
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sampled residuals of the composition law")
     common(p)
     p.add_argument("--samples", type=_positive_int, default=10000)
-    p.add_argument("--box-radius", type=_radius, default=0.4)
+    p.add_argument("--box-radius", type=_finite_nonnegative, default=0.4)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tilt", help="apply the tilting map to a point")

@@ -16,8 +16,7 @@ import numpy as np
 
 from .algebra import Element, grid_interval, hadamard
 from .errors import ConstraintViolated, UnsupportedDimension
-from .solutions import (GsSolution, LinearSolution, PartitionSpec, PartitionSolution,
-                        circle_op)
+from .solutions import GsSolution, LinearSolution, PartitionSpec, PartitionSolution
 
 DEFAULT_ROW_TOL = 1e-9
 
@@ -50,68 +49,103 @@ class SigmaMatrix:
         return cls(np.asarray(data["sigma"], dtype=float))
 
 
-def _rows_equal(m: np.ndarray, i: int, j: int, tol: float) -> bool:
-    scale = max(1.0, float(np.max(np.abs(m[i]))), float(np.max(np.abs(m[j]))))
-    return float(np.max(np.abs(m[i] - m[j]))) <= tol * scale
+#: coordinates compared per block of row pairs: a block of P = max(1,
+#: _PAIR_BLOCK_COORDS // d) pairs gathers two (P, d) row arrays
+_PAIR_BLOCK_COORDS = 2**15
 
 
-def validate_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> bool:
-    """True iff every entry above tol couples two rows that agree entrywise."""
-    a = m.entries
-    d = m.dim
-    for i in range(d):
-        for j in range(d):
-            if abs(a[i, j]) > tol and not _rows_equal(a, i, j, tol):
-                return False
+def _coupling(a: np.ndarray, tol: float) -> np.ndarray:
+    """Symmetric mask of the pairs (i, j) with |a_ij| > tol or |a_ji| > tol."""
+    adj = np.abs(a) > tol
+    return adj | adj.T
+
+
+def _rows_agree(a: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float) -> bool:
+    """True iff max|a_i - a_j| <= tol * max(1, max|a_i|, max|a_j|) for every pair.
+
+    The pairs are compared in blocks, stopping at the first block with a
+    disagreeing pair.
+    """
+    if len(i) == 0:
+        return True
+    rowmax = np.max(np.abs(a), axis=1)
+    step = max(1, _PAIR_BLOCK_COORDS // a.shape[1])
+    for s in range(0, len(i), step):
+        bi, bj = i[s:s + step], j[s:s + step]
+        diff = a[bi]
+        diff -= a[bj]
+        np.abs(diff, out=diff)
+        bound = tol * np.maximum(1.0, np.maximum(rowmax[bi], rowmax[bj]))
+        if not np.all(np.max(diff, axis=1) <= bound):
+            return False
     return True
 
 
-def _components(m: np.ndarray, tol: float) -> List[List[int]]:
-    # edge (i, j) whenever either coupling entry is nonzero
-    d = m.shape[0]
-    adj = (np.abs(m) > tol) | (np.abs(m.T) > tol)
-    seen = [False] * d
+def validate_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> bool:
+    """True iff every entry above tol couples two rows that agree entrywise.
+
+    Rows i and j agree when max|a_i - a_j| <= tol * max(1, max|a_i|, max|a_j|).
+    A negative tol couples each row with itself and no row agrees with
+    itself, so every non-empty matrix fails; a NaN tol couples nothing.
+    """
+    if tol < 0 and m.dim > 0:
+        return False
+    i, j = np.nonzero(np.triu(_coupling(m.entries, tol), 1))
+    return _rows_agree(m.entries, i, j, tol)
+
+
+def _require_valid(m: SigmaMatrix, tol: float) -> None:
+    if not validate_sigma(m, tol):
+        raise ConstraintViolated("matrix fails the row-coupling constraint")
+
+
+def _components(adj: np.ndarray) -> List[List[int]]:
+    """Connected components of a symmetric adjacency, each sorted, by first index."""
+    d = adj.shape[0]
+    seen = np.zeros(d, dtype=bool)
     comps = []
     for start in range(d):
         if seen[start]:
             continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in range(d):
-                if not seen[u] and (adj[v, u] or adj[u, v]):
-                    seen[u] = True
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return sorted(comps, key=lambda c: c[0])
+        comp = np.zeros(d, dtype=bool)
+        comp[start] = True
+        frontier = comp
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~comp
+            comp |= frontier
+        seen |= comp
+        comps.append(np.flatnonzero(comp).tolist())
+    return comps
+
+
+def _partition(a: np.ndarray, tol: float) -> PartitionSpec:
+    # a has passed validate_sigma; each part is checked against its first row
+    parts = _components(_coupling(a, tol))
+    coords = np.arange(a.shape[0])
+    rep = np.empty_like(coords)
+    for part in parts:
+        rep[part] = part[0]
+    others = np.flatnonzero(rep != coords)
+    if not _rows_agree(a, rep[others], others, tol):
+        raise ConstraintViolated("coupled rows disagree within a part")
+    return PartitionSpec(tuple(tuple(p) for p in parts), a[rep, coords])
 
 
 def recover_partition(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> PartitionSpec:
     """Extract the coordinate partition and generator vector of a valid matrix."""
-    if not validate_sigma(m, tol):
-        raise ConstraintViolated("matrix fails the row-coupling constraint")
-    a = m.entries
-    parts = _components(a, tol)
-    rho = np.zeros(m.dim)
-    for part in parts:
-        rep = part[0]
-        for i in part[1:]:
-            if not _rows_equal(a, rep, i, tol):
-                raise ConstraintViolated("coupled rows disagree within a part")
-        for j in part:
-            rho[j] = a[rep, j]
-    return PartitionSpec(tuple(tuple(p) for p in parts), rho)
+    _require_valid(m, tol)
+    return _partition(m.entries, tol)
+
+
+def _kernel_elements(a: np.ndarray) -> List[Element]:
+    alg = hadamard(a.shape[0])
+    return [alg.element(v) for v in null_space_basis(a)]
 
 
 def kernel_subspace(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> List[Element]:
     """Orthonormal basis of the null space, as elements of the d-dim algebra."""
-    if not validate_sigma(m, tol):
-        raise ConstraintViolated("matrix fails the row-coupling constraint")
-    basis = null_space_basis(m.entries)
-    alg = hadamard(m.dim)
-    return [alg.element(v) for v in basis]
+    _require_valid(m, tol)
+    return _kernel_elements(m.entries)
 
 
 def null_space_basis(a: np.ndarray) -> np.ndarray:
@@ -139,7 +173,8 @@ class TwoDClassification:
         return {"class": self.cls.value, "params": self.params}
 
 
-def _classify_partition_2d(spec: PartitionSpec) -> TwoDClassification:
+def classify_partition_2d(spec: PartitionSpec) -> TwoDClassification:
+    """The two-dimensional class of a recovered partition and its generator."""
     rho = spec.rho
     if np.all(rho == 0.0):
         return TwoDClassification(TwoDClass.TRIVIAL, {})
@@ -150,18 +185,18 @@ def _classify_partition_2d(spec: PartitionSpec) -> TwoDClassification:
                               {"rho": list(map(float, rho))})
 
 
-def classify_2d(sol: GsSolution) -> TwoDClassification:
+def classify_2d(sol: GsSolution, tol: float = DEFAULT_ROW_TOL) -> TwoDClassification:
     """Assign one of the four two-dimensional classes to a represented solution.
 
     A linear solution is classified by the partition recovered from its
-    derivative matrix, so a candidate matrix that fails the row-coupling
-    constraint raises ConstraintViolated.
+    derivative matrix at row tolerance ``tol``, so a candidate matrix that
+    fails the row-coupling constraint raises ConstraintViolated.
     """
     if not sol.algebra.componentwise or sol.algebra.dim != 2:
         raise UnsupportedDimension("classification applies on the 2-d componentwise algebra")
     if sol.variant == "DegenerateExp":
         return TwoDClassification(TwoDClass.DEGENERATE_UNIVARIATE, sol.params_json())
-    return _classify_partition_2d(recover_partition(SigmaMatrix(sol.gamma_matrix())))
+    return classify_partition_2d(recover_partition(SigmaMatrix(sol.gamma_matrix()), tol))
 
 
 @dataclass(frozen=True)
@@ -193,29 +228,31 @@ def factorize(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL,
     operation is cross-checked against the factor operation on sampled
     pairs before the report is returned.
     """
-    spec = recover_partition(m, tol)  # raises ConstraintViolated when invalid
-    sol = PartitionSolution(spec)
-    basis = kernel_subspace(m, tol)
-    factors = []
-    for part in spec.parts:
-        gen = [float(spec.rho[j]) for j in part]
-        factors.append((tuple(i + 1 for i in part), tuple(gen)))
+    _require_valid(m, tol)
+    return _factorize(m.entries, tol, n_check, seed)
 
+
+def _factorize(a: np.ndarray, tol: float, n_check: int = 64,
+               seed: int = 0) -> StructureReport:
+    # a has passed validate_sigma
+    spec = _partition(a, tol)
+    basis = _kernel_elements(a)
+    factors = tuple((tuple(i + 1 for i in part), tuple(float(spec.rho[j]) for j in part))
+                    for part in spec.parts)
+
+    # z = x + S(x) y for all sampled pairs at once, S(x) = 1 + M x
     rng = np.random.default_rng(seed)
-    alg = sol.algebra
-    X = rng.uniform(-0.4, 0.4, size=(n_check, m.dim))
-    Y = rng.uniform(-0.4, 0.4, size=(n_check, m.dim))
-    for x_row, y_row in zip(X, Y):
-        x, y = alg.element(x_row), alg.element(y_row)
-        z = circle_op(sol, x, y)
-        for part in spec.parts:
-            idx = list(part)
-            s_part = 1.0 + float(spec.rho[idx] @ x_row[idx])
-            proj = x_row[idx] + s_part * y_row[idx]
-            if float(np.max(np.abs(z.coords[idx] - proj))) > 1e-10:
-                raise ConstraintViolated("projected operation disagrees with the factor")
+    X = rng.uniform(-0.4, 0.4, size=(n_check, a.shape[0]))
+    Y = rng.uniform(-0.4, 0.4, size=(n_check, a.shape[0]))
+    Z = X + (1.0 + X @ spec.sigma_matrix().T) * Y
+    for part in spec.parts:
+        idx = list(part)
+        s_part = 1.0 + X[:, idx] @ spec.rho[idx]
+        proj = X[:, idx] + s_part[:, None] * Y[:, idx]
+        if np.any(np.max(np.abs(Z[:, idx] - proj), axis=1) > 1e-10):
+            raise ConstraintViolated("projected operation disagrees with the factor")
 
-    return StructureReport(True, spec, tuple(basis), len(basis), tuple(factors))
+    return StructureReport(True, spec, tuple(basis), len(basis), factors)
 
 
 def analyse_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureReport:
@@ -223,7 +260,7 @@ def analyse_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureRepo
     if not validate_sigma(m, tol):
         return StructureReport(False, None, (), m.dim - int(np.linalg.matrix_rank(m.entries)),
                                ())
-    return factorize(m, tol)
+    return _factorize(m.entries, tol)
 
 
 def grid_cinterval_solution(grid: Sequence[float], rho_values: Sequence[float],

@@ -122,8 +122,9 @@ def tilt_solve_fixed_point(sol: GsSolution, v: Element,
 
     Convergence is guaranteed (contraction factor <= 1/2) for norm(v)
     inside the guarantee radius; outside it the solver still attempts and
-    reports guaranteed=False.  Raises NoConvergence when the residual
-    grows over five consecutive steps or the iteration cap is reached.
+    reports guaranteed=False.  Raises NoConvergence when the residual is
+    not finite, grows over five consecutive steps or the iteration cap is
+    reached.
     """
     guaranteed = v.norm() < guarantee_radius(sol)
     u = v
@@ -135,6 +136,8 @@ def tilt_solve_fixed_point(sol: GsSolution, v: Element,
     growth_streak = 0
     prev_residual = residual
     for it in range(1, max_iter + 1):
+        if not math.isfinite(residual):
+            raise NoConvergence(f"non-finite residual after {it - 1} iterations")
         hu = gamma(sol, u).apply_scalar(h_scalar)
         u_next = v - u * hu
         step = (u_next - u).norm()

@@ -164,6 +164,10 @@ BAD_INPUTS = {
     "wj-nan-lambda": (["wj"], {"solution": CANONICAL,
                                "lambda_samples": [[0.5, 2.0], NAN_POINT]},
                       "'lambda_samples'"),
+    **{f"classify-tol-{name}": (["classify", f"--tol={value}"], {"sigma": [[1, 2], [3, 4]]},
+                                "--tol")
+       for name, value in (("nan", "nan"), ("inf", "inf"), ("minus-inf", "-inf"),
+                           ("negative", "-1"))},
 }
 
 

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+import structure_oracle as oracle
+from popa_algebra import structure
 from popa_algebra import (ConstraintViolated, LinearCandidate,
                           PartitionSolution, PartitionSpec, SigmaMatrix,
                           TwoDClass, UnsupportedDimension, analyse_sigma,
@@ -107,6 +110,28 @@ def test_classify_2d_agrees_with_classify_of_its_matrix(sol, want, tmp_path, cap
     rep = json.loads(capsys.readouterr().out)
     assert rep["class"] == want
     assert got.params.get("rho", [0.0, 0.0]) == rep["rho"]
+
+
+def test_classify_of_a_matrix_uses_its_recovered_partition(tmp_path, capsys):
+    # coupled above the row tolerance, with every recovered rho entry below it
+    a = [[0.6e-9, 0.0], [1.5e-9, 0.0]]
+    assert classify_2d(LinearCandidate(a)).cls is TwoDClass.CO_DEPENDENT
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps({"sigma": a}), encoding="utf-8")
+    assert main(["classify", "--input", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["partition"] == [[1, 2]]
+    assert rep["class"] == "CoDependent"
+
+
+def test_classify_tol_applies_to_solution_files(tmp_path, capsys):
+    a = [[1.0, 2.0], [1.000001, 2.0]]
+    assert classify_2d(LinearCandidate(a), 1e-3).cls is TwoDClass.CO_DEPENDENT
+    for name, data in (("sigma", {"sigma": a}), ("cand", LinearCandidate(a).to_json())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["classify", "--input", str(path), "--tol", "1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == "CoDependent"
 
 
 def test_classify_invalid_candidate_is_a_constraint_violation(tmp_path, capsys):
@@ -215,3 +240,103 @@ def test_structure_report_json():
     assert blob["partition"] == [[1, 2]]
     assert blob["kernel_dim"] == 1
     assert blob["factors"][0]["part"] == [1, 2]
+
+
+def test_each_request_validates_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    real = structure.validate_sigma
+
+    def counting(m, tol=structure.DEFAULT_ROW_TOL):
+        calls.append(tol)
+        return real(m, tol)
+
+    monkeypatch.setattr(structure, "validate_sigma", counting)
+    for a in ([[1, 2], [1, 2]], np.ones((5, 5)), [[1, 2], [3, 4]]):
+        calls.clear()
+        analyse_sigma(SigmaMatrix(a))
+        assert len(calls) == 1
+    calls.clear()
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps({"sigma": [[1, 2], [1, 2]]}), encoding="utf-8")
+    assert main(["classify", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["class"] == "CoDependent"
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the blocked validation against the plain-loop oracle in structure_oracle.py
+# ---------------------------------------------------------------------------
+
+def _outcome(recover, m, tol):
+    try:
+        spec = recover(m, tol)
+    except ConstraintViolated as exc:
+        return str(exc)
+    return spec.parts, spec.rho.tolist()
+
+
+def _agrees_with_oracle(m, tol):
+    assert validate_sigma(m, tol) == oracle.validate_sigma(m, tol)
+    assert _outcome(recover_partition, m, tol) == _outcome(oracle.recover_partition, m, tol)
+
+
+def _sigma_case(seed, d, kind, tol):
+    rng = np.random.default_rng(seed)
+    spec = random_partition_spec(rng, d)
+    if kind == "perturbed" and d > 1:
+        return perturbed_sigma(rng, spec)
+    a = spec.sigma_matrix()
+    if kind == "jitter":
+        # row gaps and stray entries within a small factor of the tolerance
+        scale = tol if tol > 0 else 1e-12
+        a = a + rng.uniform(-0.6, 0.6, a.shape) * scale * (a != 0)
+        stray = (a == 0) & (rng.random(a.shape) < 0.2)
+        a = a + rng.uniform(0.5, 1.5, a.shape) * scale * stray
+    return SigmaMatrix(a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2**32 - 1), d=hst.integers(1, 12),
+       kind=hst.sampled_from(["valid", "perturbed", "jitter"]),
+       tol=hst.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+def test_validation_and_partition_match_plain_loops(seed, d, kind, tol):
+    _agrees_with_oracle(_sigma_case(seed, d, kind, tol), tol)
+
+
+# rows 0-1 and 1-2 are coupled and agree at tol 1e-3, rows 0 and 2 are not
+# coupled and lie 1.6e-3 apart: valid, but the part fails its row check
+CHAIN = [[-0.0016, 0.5, 0.0], [-0.0008, 0.5, 0.0008], [0.0, 0.5, 0.0016]]
+
+
+# at tol 0.6 the uneven rows agree only under the larger of their two scales
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.6, -1.0, -0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("a", [CHAIN, [[1, 2], [1, 2]], [[1, 2], [3, 4]], np.diag([0.0, 3.0]),
+                               [[1, 1], [1, 2]], [[1, 2], [1, 1]], [[2.0]]],
+                         ids=["chain", "coupled", "invalid", "diagonal", "uneven",
+                              "uneven-reversed", "one"])
+def test_edge_tolerances_match_plain_loops(a, tol):
+    _agrees_with_oracle(SigmaMatrix(a), tol)
+
+
+def test_chain_fails_the_part_row_check():
+    with pytest.raises(ConstraintViolated, match="disagree within a part"):
+        recover_partition(SigmaMatrix(CHAIN), 1e-3)
+
+
+def test_broken_pair_at_each_block_boundary():
+    # dense d=64 couples all 2016 row pairs, which span several blocks
+    d, tol = 64, 1e-6
+    step = max(1, structure._PAIR_BLOCK_COORDS // d)
+    pairs = list(zip(*np.triu_indices(d, 1)))  # the order they are compared in
+    assert len(pairs) > 2 * step
+    rho = np.linspace(0.5, 2.0, d)  # every row bound is 2 * tol
+    for k in (0, step - 1, step, 2 * step - 1, 2 * step, len(pairs) - 1):
+        i, j = pairs[k]
+        a = np.tile(rho, (d, 1))
+        # rows i and j each lie 1.5 tol from the rest but 3 tol from each other
+        a[i, 0] += 1.5 * tol
+        a[j, 0] -= 1.5 * tol
+        assert not validate_sigma(SigmaMatrix(a), tol), k
+        assert not oracle.validate_sigma(SigmaMatrix(a), tol), k
+        a[j, 0] = rho[0]
+        assert validate_sigma(SigmaMatrix(a), tol), k

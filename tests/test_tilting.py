@@ -328,3 +328,14 @@ def test_kernel_of_derivative_is_homogeneous_for_adjustor():
             for t in np.linspace(-2, 2, 9):
                 assert (sol.eval(t * v) - sol.algebra.unit()).norm() < 1e-9
                 assert (adjustor(sol, t * v) - t * nv).norm() < 1e-9
+
+
+def test_solver_stops_at_a_non_finite_residual(monkeypatch):
+    import popa_algebra.tilting as tilting
+    calls = []
+    real = tilting.tilt_T
+    monkeypatch.setattr(tilting, "tilt_T", lambda sol, u: calls.append(1) or real(sol, u))
+    sol = CanonicalSolution(A2.element([1.0, 1.0]))
+    with pytest.raises(NoConvergence, match="non-finite residual"):
+        tilt_solve_fixed_point(sol, A2.element([math.nan, 0.1]))
+    assert len(calls) <= 2  # the starting residual and at most one iteration
