@@ -10,7 +10,6 @@ may be shared freely across threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, LogBranchViolation, NotInvertible
+from .errors import (ConstraintViolated, DimensionMismatch, LogBranchViolation,
+                     NotInvertible)
 
 #: spectral points with modulus below this count as zero for invertibility
 INVERTIBILITY_EPS = 1e-12
@@ -63,7 +63,7 @@ class AlgebraDescriptor:
             grid = tuple(float(t) for t in self.grid)
             if len(grid) != self.dim:
                 raise DimensionMismatch("grid length must equal dim")
-            if any(t < 0.0 or t > 1.0 for t in grid):
+            if not all(0.0 <= t <= 1.0 for t in grid):
                 raise DimensionMismatch("grid abscissae must lie in [0, 1]")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise DimensionMismatch("grid must be strictly increasing")
@@ -115,15 +115,12 @@ def grid_interval(grid: Sequence[float]) -> AlgebraDescriptor:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Multiset of spectral points, as complex numbers."""
+    """Multiset of spectral points, as a complex array."""
 
-    points: tuple
-
-    def moduli(self) -> np.ndarray:
-        return np.array([abs(p) for p in self.points])
+    points: np.ndarray
 
     def min_modulus(self) -> float:
-        return float(min(abs(p) for p in self.points))
+        return float(np.min(np.abs(self.points)))
 
 
 @dataclass(frozen=True)
@@ -188,9 +185,9 @@ class Element:
 
     def spectrum(self) -> Spectrum:
         if self.algebra.componentwise:
-            return Spectrum(tuple(complex(c) for c in self.coords))
-        z = complex(self.coords[0], self.coords[1])
-        return Spectrum((z, z.conjugate()))
+            return Spectrum(self.coords.astype(complex))
+        z = self.as_complex()
+        return Spectrum(np.array([z, z.conjugate()]))
 
     def as_complex(self) -> complex:
         if self.algebra.componentwise:
@@ -203,38 +200,35 @@ class Element:
     def invert(self) -> "Element":
         if not self.is_invertible():
             raise NotInvertible(f"spectral point within {INVERTIBILITY_EPS} of 0")
-        if self.algebra.componentwise:
-            return Element(1.0 / self.coords, self.algebra)
-        z = 1.0 / self.as_complex()
-        return Element([z.real, z.imag], self.algebra)
+        return self.apply_scalar(np.reciprocal)
 
     # -- functional calculus ---------------------------------------------
 
     def apply_scalar(self, fn) -> "Element":
-        """Evaluate an entire/holomorphic scalar map on every spectral point."""
+        """Evaluate an entire/holomorphic scalar map on every spectral point.
+
+        ``fn`` maps an array of spectral points elementwise: the real
+        coordinates on a componentwise algebra, a one-element complex array
+        on ComplexAsR2.
+        """
         if self.algebra.componentwise:
-            return Element([fn(float(c)) for c in self.coords], self.algebra)
-        w = fn(self.as_complex())
-        w = complex(w)
+            return Element(fn(self.coords), self.algebra)
+        w = complex(fn(np.array([self.as_complex()]))[0])
         return Element([w.real, w.imag], self.algebra)
 
     def exp(self) -> "Element":
-        if self.algebra.componentwise:
-            return Element(np.exp(self.coords), self.algebra)
-        w = cmath.exp(self.as_complex())
-        return Element([w.real, w.imag], self.algebra)
+        return self.apply_scalar(np.exp)
+
+    def in_log_branch(self) -> bool:
+        """Whether the spectrum avoids (-inf, 0], the principal log's cut."""
+        z = self.spectrum().points
+        return not np.any((z.imag == 0.0) & (z.real <= 0.0))
 
     def log(self) -> "Element":
         """Principal logarithm; spectrum must avoid (-inf, 0]."""
-        if self.algebra.componentwise:
-            if np.any(self.coords <= 0.0):
-                raise LogBranchViolation("spectral point on (-inf, 0]")
-            return Element(np.log(self.coords), self.algebra)
-        z = self.as_complex()
-        if z.imag == 0.0 and z.real <= 0.0:
+        if not self.in_log_branch():
             raise LogBranchViolation("spectral point on (-inf, 0]")
-        w = cmath.log(z)
-        return Element([w.real, w.imag], self.algebra)
+        return self.apply_scalar(np.log)
 
     def mu(self) -> "Element":
         """Tilting multiplier (e^z - 1)/z per spectral point, 1 at z = 0."""
@@ -247,6 +241,7 @@ class Element:
 
     @classmethod
     def from_json(cls, data: dict) -> "Element":
+        _require_finite(data, "element")
         return cls(np.asarray(data["coords"], dtype=float),
                    AlgebraDescriptor.from_json(data["algebra"]))
 
@@ -254,71 +249,68 @@ class Element:
         return f"Element({list(self.coords)!r}, {self.algebra.kind.value})"
 
 
+def _non_finite(value) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(map(_non_finite, value))
+
+
+def _require_finite(data: dict, what: str) -> None:
+    """Reject NaN and infinities, which Python's JSON parser accepts, by field."""
+    for name, value in dict(data).items():   # TypeError or ValueError if no mapping
+        if _non_finite(value):
+            raise ConstraintViolated(f"{what} field '{name}' must be finite")
+
+
 # ---------------------------------------------------------------------------
-# scalar special functions (real or complex argument)
+# scalar special functions on arrays of spectral points.  np.where picks the
+# Taylor series or the direct formula per point; np.errstate silences the
+# overflow or 0/0 of the branch it discards.  Overflow in a kept one gives inf.
 # ---------------------------------------------------------------------------
 
-_FACTORIALS = [math.factorial(k) for k in range(_SERIES_TERMS + 2)]
+#: Taylor coefficients for np.polyval: mu = sum z^k/(k+1)!,
+#: h = z sum z^k/(k+2)!, log(1+z)/z = sum (-z)^k/(k+1)
+_MU_SERIES = [1.0 / math.factorial(k + 1) for k in range(_SERIES_TERMS - 1, -1, -1)]
+_H_SERIES = [1.0 / math.factorial(k + 1) for k in range(_SERIES_TERMS, 0, -1)]
+_LOG1P_SERIES = [1.0 / (k + 1.0) for k in range(_SERIES_TERMS - 1, -1, -1)]
 
 
-def cexpm1(z: complex) -> complex:
-    """e^z - 1 without cancellation for small z (complex argument)."""
-    x, y = z.real, z.imag
-    # expm1(x)cos(y) + (cos(y) - 1) + i e^x sin(y); cos(y)-1 = -2 sin^2(y/2)
-    s = math.sin(0.5 * y)
-    return complex(math.expm1(x) * math.cos(y) - 2.0 * s * s,
-                   math.exp(x) * math.sin(y))
-
-
-def expm1_any(z):
-    return cexpm1(z) if isinstance(z, complex) else math.expm1(z)
-
-
+@np.errstate(all="ignore")
 def mu_scalar(z):
     """(e^z - 1)/z with the limiting value 1 at z = 0.
 
     Truncated Taylor series below SERIES_THRESHOLD avoids catastrophic
     cancellation in expm1(z)/z.
     """
-    if abs(z) < SERIES_THRESHOLD:
-        acc = 0.0
-        for k in range(_SERIES_TERMS - 1, -1, -1):
-            acc = acc * z + 1.0 / _FACTORIALS[k + 1]
-        return acc
-    return expm1_any(z) / z
+    return np.where(np.abs(z) < SERIES_THRESHOLD, np.polyval(_MU_SERIES, z),
+                    np.expm1(z) / z)
 
 
+@np.errstate(all="ignore")
 def h_scalar(z):
     """(e^z - 1 - z)/z, i.e. mu(z) - 1, stable near 0."""
-    if abs(z) < SERIES_THRESHOLD:
-        acc = 0.0
-        for k in range(_SERIES_TERMS, 0, -1):
-            acc = acc * z + 1.0 / _FACTORIALS[k + 1]
-        return acc * z
-    return (expm1_any(z) - z) / z
+    return np.where(np.abs(z) < SERIES_THRESHOLD, np.polyval(_H_SERIES, z) * z,
+                    (np.expm1(z) - z) / z)
 
 
+@np.errstate(all="ignore")
 def log1p_over_scalar(z):
     """log(1 + z)/z with the limiting value 1 at z = 0.
 
     Requires 1 + z off (-inf, 0]; the caller checks the branch condition.
     """
-    if abs(z) < SERIES_THRESHOLD:
-        acc = 0.0
-        for k in range(_SERIES_TERMS - 1, -1, -1):
-            acc = acc * (-z) + 1.0 / (k + 1.0)
-        return acc
-    if isinstance(z, complex):
-        return cmath.log(1.0 + z) / z
-    return math.log1p(z) / z
+    log1p = np.log(1.0 + z) if np.iscomplexobj(z) else np.log1p(z)
+    return np.where(np.abs(z) < SERIES_THRESHOLD, np.polyval(_LOG1P_SERIES, -z),
+                    log1p / z)
 
 
+@np.errstate(all="ignore")
 def exp_ratio_scalar(z, t: float):
     """(e^{tz} - 1)/(e^z - 1), with the value t wherever e^z = 1."""
-    d = expm1_any(z)
-    if abs(d) < UNITY_EPS:
-        return t
-    return expm1_any(t * z) / d
+    d = np.expm1(z)
+    return np.where(np.abs(d) < UNITY_EPS, t, np.expm1(t * z) / d)
 
 
 def growth_scalar(z, t: float):

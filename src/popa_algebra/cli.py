@@ -63,13 +63,12 @@ def _load_solution(data: dict, where: str):
 
 def _load_point(data, sol, name: str, where: str) -> Element:
     raw = _field(data, name, where)
+    if not isinstance(raw, dict):
+        raw = {"algebra": sol.algebra.to_json(), "coords": raw}
     try:
-        point = Element.from_json(raw) if isinstance(raw, dict) else sol.algebra.element(raw)
+        return Element.from_json(raw)
     except (PopaAlgebraError, TypeError, ValueError) as exc:
         raise _InputError(f"bad element '{name}' in {where}: {exc}")
-    if not all(map(math.isfinite, point.coords)):
-        raise _InputError(f"bad element '{name}' in {where}: coordinates must be finite")
-    return point
 
 
 def _strict(obj):
@@ -131,7 +130,11 @@ def _cmd_tilt(args) -> int:
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
     u = _load_point(data, sol, "u", args.input)
-    _emit({"u": u.to_json(), "tilt": tilt_T(sol, u).to_json()}, args.output)
+    tilt = tilt_T(sol, u)
+    if not all(map(math.isfinite, tilt.coords)):
+        raise _InputError(f"bad element 'u' in {args.input}: its tilt T(u) "
+                          f"overflows to a non-finite value")
+    _emit({"u": u.to_json(), "tilt": tilt.to_json()}, args.output)
     return 0
 
 
@@ -276,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-tilt", help="fixed-point tilt solver")
     common(p)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--max-iter", type=_positive_int, default=200)
     p.set_defaults(func=_cmd_solve_tilt)
 
     p = sub.add_parser("solve-st", help="roots of e^w = 1 + w, Re w > 0")

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .algebra import AlgebraDescriptor, Element, complex_plane, hadamard
+from .algebra import (AlgebraDescriptor, Element, _require_finite, complex_plane,
+                      hadamard)
 from .errors import (ConstraintViolated, DimensionMismatch, DomainExhausted,
                      NotDifferentiable, NotInGroup, NotInvertible,
                      NotOrthogonalIdempotents, UnitNotInGroup)
@@ -64,16 +65,14 @@ class PartitionSpec:
         return self.rho.shape[0]
 
     def part_ids(self) -> np.ndarray:
+        """Index of the part holding each coordinate."""
         ids = np.empty(self.dim, dtype=int)
         for k, p in enumerate(self.parts):
-            for i in p:
-                ids[i] = k
+            ids[list(p)] = k
         return ids
 
     def sigma_matrix(self) -> np.ndarray:
-        ids = self.part_ids()
-        same = ids[:, None] == ids[None, :]
-        return np.where(same, self.rho[None, :], 0.0)
+        return _part_matrix(self.part_ids(), self.rho)
 
     def to_json(self) -> dict:
         return {"parts": [[i + 1 for i in p] for p in self.parts],
@@ -83,6 +82,11 @@ class PartitionSpec:
     def from_json(cls, data: dict) -> "PartitionSpec":
         return cls(tuple(tuple(i - 1 for i in p) for p in data["parts"]),
                    np.asarray(data["rho"], dtype=float))
+
+
+def _part_matrix(ids: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Dense M with M[i, j] = rho[j] where i and j share a part, else 0."""
+    return np.where(ids[:, None] == ids[None, :], rho[None, :], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,38 +149,60 @@ class LinearSolution(GsSolution):
     """The linear map S(x) = unit + M x (algebra product), M a real d x d matrix.
 
     The affine, partition, complex real-linear and idempotent families are
-    all this map; the constructor functions below build M and keep each
-    family's ``variant`` name and JSON fields.  The solution takes M over and
-    makes it read-only, so ``gamma_matrix`` returns it without a copy.
-    ``omega_homogeneous`` is False only for ``LinearCandidate``, whose M need
-    not satisfy the row-coupling constraint.
+    all this map; the constructor functions below build it and keep each
+    family's ``variant`` name and JSON fields.  M is taken over read-only.
+    A partition family (the componentwise affine one has singleton parts)
+    passes ``parts = (part_ids, rho)`` instead, M[i, j] = rho[j] within a
+    part: gamma and eval are O(d) part sums, and ``gamma_matrix`` builds M
+    on its first call.  ``omega_homogeneous`` is False only for
+    ``LinearCandidate``, whose M need not satisfy the row-coupling constraint.
     """
 
     def __init__(self, M, algebra: AlgebraDescriptor, variant: str, params: dict,
-                 omega_homogeneous: bool = True):
-        M = np.asarray(M, dtype=float)
-        if M.shape != (algebra.dim, algebra.dim):
-            raise DimensionMismatch("matrix size does not match the algebra")
-        M.flags.writeable = False
-        self.M = M
+                 omega_homogeneous: bool = True, parts=None):
+        if parts is None:
+            M = np.asarray(M, dtype=float)
+            if M.shape != (algebra.dim, algebra.dim):
+                raise DimensionMismatch("matrix size does not match the algebra")
+            M.flags.writeable = False
+        self._M = M
+        self._parts = parts
         self.algebra = algebra
         self.variant = variant
         self._params = params
         self._omega_homogeneous = omega_homogeneous
 
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        if self._parts is None:
+            return self._M @ x
+        ids, rho = self._parts
+        return np.bincount(ids, weights=rho * x)[ids]
+
     def eval(self, x: Element) -> Element:
-        self._check_point(x)
-        return Element(self.algebra.unit().coords + self.M @ x.coords, self.algebra)
+        return self.algebra.unit() + self.gamma(x)
+
+    def gamma(self, u: Element) -> Element:
+        self._check_point(u)
+        return Element(self._apply(u.coords), self.algebra)
+
+    def gamma_norm(self) -> float:
+        if self._parts is None:
+            return super().gamma_norm()
+        ids, rho = self._parts
+        return float(np.max(np.bincount(ids, weights=np.abs(rho))))
 
     def gamma_matrix(self) -> np.ndarray:
-        return self.M
+        if self._M is None:
+            self._M = _part_matrix(*self._parts)
+            self._M.flags.writeable = False
+        return self._M
 
     def omega_homogeneous(self) -> bool:
         return self._omega_homogeneous
 
     def _kernel_args(self):
         mult = 0 if self.algebra.componentwise else 1
-        return 0, mult, self.M, np.zeros(self.algebra.dim), 0, 0.0, 1.0
+        return 0, mult, self.gamma_matrix(), np.zeros(self.algebra.dim), 0, 0.0, 1.0
 
     def params_json(self) -> dict:
         return self._params
@@ -184,13 +210,12 @@ class LinearSolution(GsSolution):
 
 def CanonicalSolution(rho: Element) -> LinearSolution:
     """The affine family S(x) = unit + rho * x (algebra product)."""
+    params = {"rho": list(map(float, rho.coords))}
     if rho.algebra.componentwise:
-        M = np.diag(rho.coords)
-    else:
-        a, b = rho.coords
-        M = np.array([[a, -b], [b, a]])
-    return LinearSolution(M, rho.algebra, "Canonical",
-                          {"rho": list(map(float, rho.coords))})
+        return LinearSolution(None, rho.algebra, "Canonical", params,
+                              parts=(np.arange(rho.algebra.dim), rho.coords))
+    a, b = rho.coords
+    return LinearSolution(np.array([[a, -b], [b, a]]), rho.algebra, "Canonical", params)
 
 
 def PartitionSolution(spec: PartitionSpec,
@@ -201,7 +226,8 @@ def PartitionSolution(spec: PartitionSpec,
         raise DimensionMismatch("partition solutions need a componentwise algebra")
     if algebra.dim != spec.dim:
         raise DimensionMismatch("partition dimension does not match the algebra")
-    return LinearSolution(spec.sigma_matrix(), algebra, "Partition", spec.to_json())
+    return LinearSolution(None, algebra, "Partition", spec.to_json(),
+                          parts=(spec.part_ids(), spec.rho))
 
 
 def ComplexReImSolution(a: float, b: float) -> LinearSolution:
@@ -376,6 +402,7 @@ class DegenerateExpSolution(GsSolution):
 
 
 def solution_from_json(data: dict) -> GsSolution:
+    _require_finite(data, "solution")
     algebra = AlgebraDescriptor.from_json(data["algebra"])
     variant = data["variant"]
     if variant == "Canonical":
@@ -471,6 +498,9 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
     fam, mult, M, w, axis, r, g = sol._kernel_args()
     rho = rho_of(sol).coords
     unit = sol.algebra.unit().coords
+    if fam == 0:
+        # S(unit) - unit by the kernel's own product, not by part sums
+        rho = (unit + M @ unit) - unit
     gs, goldie, valid = _kernels.gs_residual_batch(
         fam, mult, M, w, axis, r, g, rho, unit, X, Y, GROUP_REJECT_EPS)
     n_valid = int(valid.sum())
@@ -524,13 +554,6 @@ def decomposition_check(sol: GsSolution, x: Element) -> DecompositionReport:
     return DecompositionReport(n_x, m_x, defects)
 
 
-def _elem_power(a: Element, k: int) -> Element:
-    out = a.algebra.unit()
-    for _ in range(k):
-        out = out * a
-    return out
-
-
 def check_omega_homogeneity(sol: GsSolution, u: Element, k_max: int) -> float:
     """Max defect of the power-raising identity over exponents 0..k_max."""
     if k_max < 1:
@@ -538,8 +561,8 @@ def check_omega_homogeneity(sol: GsSolution, u: Element, k_max: int) -> float:
     worst = 0.0
     gu = sol.gamma(u)
     for k in range(k_max + 1):
-        lhs = sol.gamma(u * _elem_power(gu, k))
-        rhs = _elem_power(gu, k + 1)
+        lhs = sol.gamma(u * gu.apply_scalar(lambda z: z ** k))
+        rhs = gu.apply_scalar(lambda z: z ** (k + 1))
         worst = max(worst, (lhs - rhs).norm())
     return worst
 

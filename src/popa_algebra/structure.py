@@ -30,8 +30,8 @@ class SigmaMatrix:
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float, copy=True)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConstraintViolated("sigma matrix must be square")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+            raise ConstraintViolated("sigma matrix must be square, at least 1 x 1")
         if not np.all(np.isfinite(m)):
             raise ConstraintViolated("sigma matrix entries must be finite")
         m.flags.writeable = False

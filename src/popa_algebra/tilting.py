@@ -28,8 +28,12 @@ MAX_ITER_DEFAULT = 200
 KERNEL_EPS = 1e-12
 
 
+@np.errstate(all="ignore")
 def tilt_T(sol: GsSolution, u: Element) -> Element:
-    """u times the tilting multiplier (e^g - 1)/g; the identity where g = 0."""
+    """u times the tilting multiplier (e^g - 1)/g; the identity where g = 0.
+
+    Where e^g overflows the result is inf (NaN at a zero of u), silently.
+    """
     return u * gamma(sol, u).mu()
 
 
@@ -56,12 +60,6 @@ def radiality_check(sol: GsSolution, u: Element, t_grid: Sequence[float]) -> flo
     return worst
 
 
-def _check_log_branch(one_plus_g: Element):
-    for z in one_plus_g.spectrum().points:
-        if z.imag == 0.0 and z.real <= 0.0:
-            raise LogBranchViolation("spectrum of unit + gamma(v) meets (-inf, 0]")
-
-
 def tilt_inverse(sol: GsSolution, v: Element) -> Element:
     """Closed-form solution u of T(u) = v: u = v log(unit + g(v))/g(v).
 
@@ -73,12 +71,12 @@ def tilt_inverse(sol: GsSolution, v: Element) -> Element:
         raise NotOmegaHomogeneous(
             f"closed-form inverse not validated for variant {sol.variant}")
     gv = gamma(sol, v)
-    _check_log_branch(sol.algebra.unit() + gv)
-    u = v * gv.apply_scalar(log1p_over_scalar)
+    if not (sol.algebra.unit() + gv).in_log_branch():
+        raise LogBranchViolation("spectrum of unit + gamma(v) meets (-inf, 0]")
+    ratio = gv.apply_scalar(log1p_over_scalar)
+    u = v * ratio
     # the derivative of the preimage must be the principal log of unit + g(v)
-    gu = gamma(sol, u)
-    log1g = gv.apply_scalar(lambda z: z * log1p_over_scalar(z))
-    if (gu - log1g).norm() > 1e-9 * max(1.0, gv.norm()):
+    if (gamma(sol, u) - gv * ratio).norm() > 1e-9 * max(1.0, gv.norm()):
         raise PopaAlgebraError("tilt inverse consistency check failed")
     return u
 
@@ -185,55 +183,44 @@ def unboundedness_direction(sol: GsSolution, u: Element, s_max: float = 40.0,
     """
     gu = gamma(sol, u)
     points = gu.spectrum().points
-    active = [z for z in points if abs(z) > KERNEL_EPS]
-    if not active or all(abs(z.real) < tol for z in active):
+    res = points[np.abs(points) > KERNEL_EPS].real
+    if res.size == 0 or np.all(np.abs(res) < tol):
         # empty or purely rotational spectrum: norm(e^{g}) = 1, no growth
         return UnboundednessVerdict(Direction.UNIT_NORM, None)
 
-    res = [z.real for z in active]
-    plus_grows = max(res) > 0.0
-    minus_grows = min(res) < 0.0
+    hi, lo = float(np.max(res)), float(np.min(res))
+    plus_grows = hi > 0.0
+    minus_grows = lo < 0.0
     if plus_grows and minus_grows:
         # mixed spectrum: both rays unbounded; report the faster one
-        direction = (Direction.PLUS_UNBOUNDED if max(res) >= -min(res)
+        direction = (Direction.PLUS_UNBOUNDED if hi >= -lo
                      else Direction.MINUS_UNBOUNDED)
         return UnboundednessVerdict(direction, None)
     direction = Direction.PLUS_UNBOUNDED if plus_grows else Direction.MINUS_UNBOUNDED
 
     # sampled confirmation on the active coordinates, plus the bounded limit
     sign = 1.0 if plus_grows else -1.0
-    limit = _bounded_limit(sol, u, gu)
     s_probe = min(s_max, 40.0)
-    t_far = _tilt_ray(sol, u, sign * s_probe)
-    t_near = _tilt_ray(sol, u, sign * s_probe / 2.0)
+    t_far = tilt_path(sol, u, sign * s_probe)
+    t_near = tilt_path(sol, u, sign * s_probe / 2.0)
     if _active_norm(t_far, gu) < _active_norm(t_near, gu):
         raise PopaAlgebraError("sampled growth contradicts the spectral verdict")
-    return UnboundednessVerdict(direction, limit)
+    return UnboundednessVerdict(direction, _bounded_limit(u, gu))
 
 
-def _tilt_ray(sol: GsSolution, u: Element, s: float) -> Element:
-    # T(su), valid for either sign of s
-    return u * gamma(sol, u).apply_scalar(lambda z: growth_scalar(z, s))
-
+# both helpers run only when gamma(u) has a spectral point above KERNEL_EPS
 
 def _active_norm(x: Element, gu: Element) -> float:
     if x.algebra.componentwise:
-        mask = np.abs(gu.coords) > KERNEL_EPS
-        return float(np.max(np.abs(x.coords[mask]))) if mask.any() else 0.0
+        return float(np.max(np.abs(x.coords[np.abs(gu.coords) > KERNEL_EPS])))
     return x.norm()
 
 
-def _bounded_limit(sol: GsSolution, u: Element, gu: Element) -> Optional[Element]:
+def _bounded_limit(u: Element, gu: Element) -> Element:
     if gu.algebra.componentwise:
-        coords = np.where(np.abs(gu.coords) > KERNEL_EPS,
-                          -u.coords / np.where(np.abs(gu.coords) > KERNEL_EPS,
-                                               gu.coords, 1.0),
-                          0.0)
-        return gu.algebra.element(coords)
-    z = gu.as_complex()
-    if abs(z) <= KERNEL_EPS:
-        return None
-    w = -u.as_complex() / z
+        return gu.algebra.element(np.divide(-u.coords, gu.coords, out=np.zeros(u.algebra.dim),
+                                            where=np.abs(gu.coords) > KERNEL_EPS))
+    w = -u.as_complex() / gu.as_complex()
     return gu.algebra.element([w.real, w.imag])
 
 
@@ -250,26 +237,21 @@ class RatioLimitResult:
                 "limit": self.limit.to_json()}
 
 
+@np.errstate(all="ignore")
 def _finite_ratio_scalar(z, n: int, m: int):
-    if abs(z) < KERNEL_EPS:
-        return float(m) / float(n)
-    if isinstance(z, complex):
-        b = 1.0 + z / n
-        den = b ** n - 1.0
-        if abs(den) < 1e-12:
-            raise NotInvertible(f"(1 + a/n)^n - 1 singular at n={n}")
-        return (b ** m - 1.0) / den
+    """((1 + z/n)^m - 1)/((1 + z/n)^n - 1) per point, m/n on the kernel."""
     b = 1.0 + z / n
-    if b > 0.0:
-        lg = math.log1p(z / n)
-        den = math.expm1(n * lg)
-        if abs(den) < 1e-12:
-            raise NotInvertible(f"(1 + a/n)^n - 1 singular at n={n}")
-        return math.expm1(m * lg) / den
-    den = b ** n - 1.0
-    if abs(den) < 1e-12:
+    if np.iscomplexobj(z):
+        num, den = b ** m - 1.0, b ** n - 1.0
+    else:
+        # through log1p/expm1 where the base is positive, for accuracy
+        lg = np.log1p(z / n)
+        num = np.where(b > 0.0, np.expm1(m * lg), b ** m - 1.0)
+        den = np.where(b > 0.0, np.expm1(n * lg), b ** n - 1.0)
+    kernel = np.abs(z) < KERNEL_EPS
+    if np.any(~kernel & (np.abs(den) < 1e-12)):
         raise NotInvertible(f"(1 + a/n)^n - 1 singular at n={n}")
-    return (b ** m - 1.0) / den
+    return np.where(kernel, float(m) / float(n), num / den)
 
 
 def ratio_limit_check(a: Element, t: float, n_max: int = 10000,

@@ -2,15 +2,19 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from popa_algebra import (AlgebraDescriptor, AlgebraKind, DimensionMismatch,
-                          Element, LogBranchViolation, NotInvertible,
-                          complex_plane, grid_interval, hadamard)
-from popa_algebra.algebra import (SERIES_THRESHOLD, cexpm1, h_scalar,
-                                  log1p_over_scalar, mu_scalar)
+import scalar_oracle as oracle
+from popa_algebra import (AlgebraDescriptor, AlgebraKind, ConstraintViolated,
+                          DimensionMismatch, Element, LogBranchViolation,
+                          NotInvertible, complex_plane, grid_interval, hadamard)
+from popa_algebra.algebra import (SERIES_THRESHOLD, exp_ratio_scalar, growth_scalar,
+                                  h_scalar, log1p_over_scalar, mu_scalar)
+from scalar_oracle import cexpm1
 
 E = math.e
 
@@ -149,11 +153,15 @@ def test_mu_identity_and_series_continuity():
 
 
 def test_cexpm1_matches_direct_formula():
+    # the array formulas take complex e^z - 1 from np.expm1, which computes
+    # the same cancellation-free formula as the reference cexpm1
     for z in (0.3 + 0.4j, -1 + 2j, 1e-9 + 1e-9j, 2j):
-        assert abs(cexpm1(z) - (np.exp(z) - 1)) < 1e-14 * max(1.0, abs(np.exp(z)))
+        got = complex(np.expm1(np.array([z]))[0])
+        assert abs(got - (np.exp(z) - 1)) < 1e-14 * max(1.0, abs(np.exp(z)))
+        assert got == cexpm1(z)
     # small-argument accuracy: e^z - 1 = z + z^2/2 + O(z^3)
     z = 1e-12 + 1e-12j
-    assert abs(cexpm1(z) - (z + z * z / 2)) < 1e-28
+    assert abs(complex(np.expm1(np.array([z]))[0]) - (z + z * z / 2)) < 1e-28
 
 
 def test_dimension_mismatch():
@@ -190,3 +198,118 @@ def test_elements_are_immutable():
     a = hadamard(2).element([1, 2])
     with pytest.raises(ValueError):
         a.coords[0] = 5.0
+
+
+def test_element_from_json_rejects_non_finite_coordinates():
+    for coords in ([math.nan, 1.0], [1.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ConstraintViolated, match="'coords'"):
+            Element.from_json({"algebra": hadamard(2).to_json(), "coords": coords})
+    # intermediate results may overflow: the constructor itself accepts them
+    assert math.isinf(hadamard(2).element([math.inf, 1.0]).norm())
+
+
+def test_grid_rejects_nan_abscissae():
+    with pytest.raises(DimensionMismatch):
+        grid_interval([0.0, math.nan, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the array functional calculus against the per-point scalar oracle
+# ---------------------------------------------------------------------------
+
+T = SERIES_THRESHOLD
+EPS = 2.0 ** -52
+
+
+def _point(re, im=0.0):
+    return complex(re, im)
+
+
+#: spectral points where the formulas switch branch or lose digits: around
+#: 0 on both sides of the series threshold, on the threshold circle itself
+#: (to a few ulp), near the roots 2 pi i k of e^z = 1, and at large |z|
+#: (|Re z| <= 350, so e^{tz} stays finite for |t| <= 2)
+POINTS = hst.one_of(
+    hst.builds(_point, hst.floats(-10 * T, 10 * T), hst.floats(-10 * T, 10 * T)),
+    hst.builds(lambda k, theta, sign: sign * T * (1.0 + k * EPS) * complex(math.cos(theta),
+                                                                         math.sin(theta)),
+               hst.integers(-4, 4), hst.sampled_from([0.0, 0.3, 1.0, math.pi / 2, 2.5]),
+               hst.sampled_from([1.0, -1.0])),
+    hst.builds(lambda k, re, im, e: complex(re * 10.0 ** -e, 2 * math.pi * k + im * 10.0 ** -e),
+               hst.integers(-6, 6), hst.floats(-1, 1), hst.floats(-1, 1), hst.integers(3, 14)),
+    hst.builds(_point, hst.floats(-5, 5), hst.floats(-20, 20)),
+    hst.builds(_point, hst.floats(-350, 350), hst.floats(-1e4, 1e4)),
+)
+
+
+def _agree(got, want, floor: float = 0.0) -> bool:
+    return got == want or abs(got - want) <= 1e-14 * max(floor, abs(want))
+
+
+def _matches(got, ref, w, floor: float = 0.0, scale: float = 1.0) -> bool:
+    """got agrees with ref(w), whose series branch switches at |scale w| = T.
+
+    numpy's complex modulus can round across the threshold where Python's
+    abs() does not, so on that circle either branch's value is accepted.
+    """
+    if abs(abs(scale * w) - T) > 8 * EPS * T:
+        return _agree(got, complex(ref(w)), floor)
+    return any(_agree(got, complex(ref(w * (1.0 + k * EPS))), floor) for k in (-16, 16))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(points=hst.lists(POINTS, min_size=1, max_size=8), is_complex=hst.booleans(),
+       t=hst.sampled_from([0.25, 0.5, 2.0, -1.5]))
+def test_array_formulas_match_scalar_oracle(points, is_complex, t):
+    # one array mixes points of every region, so each call takes both
+    # branches of np.where; a real array keeps the real parts only
+    if is_complex:
+        z = np.array(points, dtype=complex)
+        scalars = [complex(p) for p in z]
+    else:
+        z = np.array([p.real for p in points])
+        scalars = [float(p) for p in z]
+    for fn, ref, floor, scale in (
+            (mu_scalar, oracle.mu_scalar, 0.0, 1.0),
+            # h = mu - 1 is a difference near 0: both sides carry an
+            # absolute error of a few ulp of 1 there
+            (h_scalar, oracle.h_scalar, 1.0, 1.0),
+            # no series branch: scale 0 never meets the threshold circle
+            (lambda w: exp_ratio_scalar(w, t), lambda w: oracle.exp_ratio_scalar(w, t),
+             0.0, 0.0),
+            (lambda w: growth_scalar(w, t), lambda w: oracle.growth_scalar(w, t), 0.0, t)):
+        got = fn(z)
+        assert got.shape == z.shape
+        for g, w in zip(got, scalars):
+            assert _matches(complex(g), ref, w, floor, scale), (fn, w)
+    in_branch = [not (w.imag == 0.0 and w.real <= -1.0) if is_complex else w > -1.0
+                 for w in scalars]
+    got = log1p_over_scalar(z[in_branch])
+    for g, w in zip(got, [w for w, ok in zip(scalars, in_branch) if ok]):
+        assert _matches(complex(g), oracle.log1p_over_scalar, w), w
+
+
+def test_overflow_gives_infinity_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = np.array([800.0, 0.2, 0.0])
+        mu = mu_scalar(z)
+        assert math.isinf(mu[0]) and mu[2] == 1.0
+        assert abs(mu[1] - oracle.mu_scalar(0.2)) < 1e-15
+        assert math.isinf(h_scalar(z)[0])
+        assert exp_ratio_scalar(np.array([0.0, 1e-300]), 2.0).tolist() == [2.0, 2.0]
+        assert math.isinf(hadamard(3).element(z).mu().coords[0])
+    with pytest.raises(OverflowError):
+        oracle.mu_scalar(800.0)   # the per-point original raised instead
+
+
+def test_apply_scalar_passes_one_array_per_element():
+    seen = []
+
+    def record(z):
+        seen.append((z.dtype.kind, z.shape))
+        return z * 2.0
+
+    assert hadamard(3).element([1, 2, 3]).apply_scalar(record).coords.tolist() == [2, 4, 6]
+    assert complex_plane().element([1, 2]).apply_scalar(record).coords.tolist() == [2, 4]
+    assert seen == [("f", (3,)), ("c", (1,))]

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, determinism, JSON shapes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +162,13 @@ BAD_INPUTS = {
     "invert-tilt-nan-v": (["invert-tilt"], {"solution": CANONICAL, "v": NAN_POINT},
                           "'v'"),
     "solve-tilt-nan-v": (["solve-tilt"], {"solution": CANONICAL, "v": NAN_POINT}, "'v'"),
+    "solve-tilt-max-iter-0": (["solve-tilt", "--max-iter", "0"],
+                              {"solution": CANONICAL, "v": [0.01, 0.02]}, "--max-iter"),
+    "solve-tilt-max-iter-negative": (["solve-tilt", "--max-iter=-3"],
+                                     {"solution": CANONICAL, "v": [0.01, 0.02]}, "--max-iter"),
+    "tilt-infinite-rho": (["tilt"], {"solution": dict(CANONICAL, rho=[math.inf, 1.0]),
+                                     "u": [0.1, 0.2]}, "'rho'"),
+    "tilt-overflow": (["tilt"], {"solution": CANONICAL, "u": [800.0, 0.2]}, "'u'"),
     "wj-nan-lambda": (["wj"], {"solution": CANONICAL,
                                "lambda_samples": [[0.5, 2.0], NAN_POINT]},
                       "'lambda_samples'"),
@@ -183,6 +191,7 @@ def test_bad_input_exits_two_without_traceback(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     assert named in proc.stderr
 
 

@@ -430,3 +430,39 @@ def test_solution_json_roundtrip():
         assert (back.eval(x) - sol.eval(x)).norm() < 1e-15
         assert back.to_json() == data
         assert json.dumps(back.to_json(), sort_keys=True) == text
+
+
+@pytest.mark.parametrize("variant, field", [
+    ({"variant": "Canonical", "rho": [math.inf, 1.0]}, "rho"),
+    ({"variant": "Partition", "parts": [[1, 2]], "rho": [1.0, math.nan]}, "rho"),
+    ({"variant": "DegenerateExp", "form": "One_Exp", "axis": 0, "gamma_exp": math.inf},
+     "gamma_exp"),
+    ({"variant": "DegenerateExp", "form": "One_Exp", "axis": math.inf}, "axis"),
+    ({"variant": "LinearCandidate", "matrix": [[1.0, 0.0], [-math.inf, 1.0]]}, "matrix"),
+    ({"variant": "IdempotentBuilt", "idempotents": [[1.0, math.nan]], "sigma": [1.0, 0.0]},
+     "idempotents"),
+])
+def test_solution_from_json_rejects_non_finite_numbers(variant, field):
+    data = dict(variant, algebra={"kind": "HadamardRd", "dim": 2})
+    with pytest.raises(ConstraintViolated, match=f"'{field}'"):
+        solution_from_json(json.loads(json.dumps(data)))
+    finite = {"variant": "Canonical", "rho": [1.0, 1.0]}
+    with pytest.raises(ConstraintViolated, match="'algebra'"):
+        solution_from_json(dict(finite, algebra={"kind": "HadamardRd", "dim": math.inf}))
+
+
+def test_partition_gamma_matches_its_dense_matrix():
+    # the O(d) part sums and the lazily built M describe one linear map
+    from conftest import random_partition_spec
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 7, 33):
+        spec = random_partition_spec(rng, d)
+        sols = [PartitionSolution(spec), CanonicalSolution(hadamard(d).element(spec.rho))]
+        for sol, M in zip(sols, [spec.sigma_matrix(), np.diag(spec.rho)]):
+            assert np.array_equal(sol.gamma_matrix(), M)
+            assert abs(sol.gamma_norm() - np.max(np.sum(np.abs(M), axis=1))) <= 1e-15 * d
+            for _ in range(10):
+                x = sol.algebra.element(rng.uniform(-2.0, 2.0, d))
+                scale = 1e-15 * max(1.0, float(np.max(np.abs(M) @ np.abs(x.coords))))
+                assert np.max(np.abs(sol.gamma(x).coords - M @ x.coords)) <= scale
+                assert np.max(np.abs(sol.eval(x).coords - (1.0 + M @ x.coords))) <= 2 * scale

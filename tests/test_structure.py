@@ -47,6 +47,12 @@ def test_recover_partition_examples():
         recover_partition(SigmaMatrix([[1, 2], [3, 4]]))
 
 
+def test_empty_sigma_matrix_is_rejected():
+    # d = 0 used to pass validation and then fail in hadamard(0)
+    with pytest.raises(ConstraintViolated, match="at least 1 x 1"):
+        SigmaMatrix(np.zeros((0, 0)))
+
+
 def test_recover_partition_zero_rows_are_trivial_parts():
     spec = recover_partition(SigmaMatrix([[0, 0], [0, 0]]))
     assert spec.parts == ((0,), (1,))

@@ -1,20 +1,25 @@
 """Tilting map, exponential scale, closed-form inverse, fixed-point solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+import scalar_oracle as oracle
+from conftest import random_partition_spec
 from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           DegenerateExpSolution, DegenerateForm, Direction,
-                          IdempotentSolution, LogBranchViolation,
+                          IdempotentSolution, LinearSolution, LogBranchViolation,
                           NoConvergence, NotInvertible, NotOmegaHomogeneous,
                           PartitionSolution, PartitionSpec, adjustor,
-                          complex_plane, gamma, hadamard, lambda_scale,
-                          radiality_check, ratio_limit_check, tilt_T,
-                          tilt_inverse, tilt_path, tilt_solve_fixed_point,
-                          unboundedness_direction)
-from popa_algebra.tilting import contraction_radius, guarantee_radius
+                          complex_plane, gamma, grid_interval, hadamard,
+                          lambda_scale, radiality_check, ratio_limit_check,
+                          tilt_T, tilt_inverse, tilt_path,
+                          tilt_solve_fixed_point, unboundedness_direction)
+from popa_algebra.tilting import (_finite_ratio_scalar, contraction_radius,
+                                  guarantee_radius)
 
 E = math.e
 A1, A2, A3 = hadamard(1), hadamard(2), hadamard(3)
@@ -339,3 +344,91 @@ def test_solver_stops_at_a_non_finite_residual(monkeypatch):
     with pytest.raises(NoConvergence, match="non-finite residual"):
         tilt_solve_fixed_point(sol, A2.element([math.nan, 0.1]))
     assert len(calls) <= 2  # the starting residual and at most one iteration
+
+
+def test_tilt_overflow_is_non_finite_without_warnings():
+    # e^800 overflows: the tilt holds inf where it used to raise OverflowError
+    sol = CanonicalSolution(A2.element([1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = tilt_T(sol, A2.element([800.0, 0.2]))
+        coupled = tilt_T(codependent(1.0, 1.0), A2.element([800.0, 0.0]))
+    assert math.isinf(t.coords[0])
+    assert abs(t.coords[1] - 0.2 * oracle.mu_scalar(0.2)) < 1e-15
+    assert not np.isfinite(coupled.coords).any()
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000, 10000])
+def test_finite_ratio_matches_scalar_oracle(n):
+    rng = np.random.default_rng(n)
+    m = int(round(0.7 * n))
+    # kernel points, a non-positive base 1 + z/n, and generic points
+    real = np.concatenate([[0.0, 1e-13, -1.5 * n + 0.3], rng.uniform(-3, 3, 200)])
+    cplx = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
+    # complex (1 + z/n)^n comes from two different power routines: they
+    # differ by up to a few ulp per factor of the rounded base
+    for z, tol in ((real, 1e-14), (cplx, 1e-12)):
+        got = _finite_ratio_scalar(z, n, m)
+        for g, w in zip(got, z):
+            want = oracle.finite_ratio_scalar(w.item(), n, m)
+            assert abs(g - want) <= tol * abs(want)
+    with pytest.raises(NotInvertible):
+        _finite_ratio_scalar(np.array([0.5, -20.0]), 10, 20)
+
+
+def _round_trip_family(family: str, rng, d: int):
+    if family == "partition":
+        return PartitionSolution(random_partition_spec(rng, d))
+    if family == "grid":
+        grid = np.sort(rng.choice(np.arange(1, 10**6), d, replace=False)) / 10**6
+        return PartitionSolution(random_partition_spec(rng, d), grid_interval(grid))
+    if family == "canonical":
+        return CanonicalSolution(hadamard(d).element(rng.uniform(-2.0, 2.0, d)))
+    return CanonicalSolution(complex_plane().element(rng.uniform(-2.0, 2.0, 2)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2**32 - 1), d=hst.integers(1, 40),
+       family=hst.sampled_from(["partition", "grid", "canonical", "complex"]),
+       size=hst.floats(0.0, 0.95))
+def test_tilt_round_trip_inside_log_branch(seed, d, family, size):
+    rng = np.random.default_rng(seed)
+    sol = _round_trip_family(family, rng, d)
+    u = sol.algebra.element(rng.uniform(-1.0, 1.0, sol.algebra.dim))
+    g = gamma(sol, u).norm()
+    if g > 0.0:
+        # spectrum of gamma(u) within |z| < 1 < pi, so unit + gamma(T(u)) =
+        # e^{gamma(u)} has gamma(u) as its principal logarithm
+        u = (size / g) * u
+    v = tilt_T(sol, u)
+    back = tilt_inverse(sol, v)
+    assert (back - u).norm() <= 1e-12 * max(1.0, u.norm())
+
+
+def test_large_partition_tilt_never_builds_the_dense_matrix(monkeypatch):
+    # d = 4096 in parts of 16: a dense M would take 128 MiB and O(d^2) per step
+    rng = np.random.default_rng(12)
+    d = 4096
+    perm = rng.permutation(d)
+    spec = PartitionSpec(tuple(tuple(perm[k:k + 16]) for k in range(0, d, 16)),
+                         rng.uniform(0.5, 1.0, d) * rng.choice([-1.0, 1.0], d) / 16)
+    grid = np.sort(rng.choice(np.arange(1, 10**6), d, replace=False)) / 10**6
+    sol = PartitionSolution(spec, grid_interval(grid))
+
+    def refuse(self):
+        raise AssertionError("the dense derivative matrix was built")
+
+    monkeypatch.setattr(LinearSolution, "gamma_matrix", refuse)
+    eta = guarantee_radius(sol)
+    direction = rng.uniform(-1.0, 1.0, d)
+    v = sol.algebra.element(0.5 * eta * direction / np.max(np.abs(direction)))
+    res = tilt_solve_fixed_point(sol, v)
+    assert res.guaranteed and res.final_residual < 1e-12
+    assert (tilt_inverse(sol, v) - res.u).norm() < 1e-12
+    assert radiality_check(sol, v, [0.25, 0.5, 1.0, 2.0]) < 1e-9
+    assert unboundedness_direction(sol, v).direction in tuple(Direction)
+    # the O(d) gamma and norm agree with the dense matrix they stand for
+    monkeypatch.undo()
+    M = sol.gamma_matrix()
+    assert np.allclose(gamma(sol, v).coords, M @ v.coords, rtol=0.0, atol=1e-15 * v.norm())
+    assert abs(sol.gamma_norm() - np.max(np.sum(np.abs(M), axis=1))) < 1e-14
