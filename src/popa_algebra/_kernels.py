@@ -28,6 +28,11 @@ _DOMAIN_EPS = 1e-9  # power-form bases this close to 0 are rejected
 BLOCK_COORDS = 2**16
 
 
+def block_rows(d: int) -> int:
+    """Pairs per block at dimension d."""
+    return max(256, BLOCK_COORDS // d)
+
+
 def _eval(fam, M, w, axis, r, g, unit, Xb):
     if fam == 0:
         out = M @ Xb
@@ -129,7 +134,7 @@ def gs_residual_batch(fam, mult, M, w, axis, r, g, rho, unit, X, Y, inv_tol):
     gs = np.zeros(n)
     goldie = np.zeros(n)
     valid = np.zeros(n, dtype=np.uint8)
-    rows = max(256, BLOCK_COORDS // d)
+    rows = block_rows(d)
     args = (int(fam), int(mult), M, w, int(axis), float(r), float(g), rho, unit,
             float(inv_tol))
     with np.errstate(over="ignore", invalid="ignore"):

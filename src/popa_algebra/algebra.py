@@ -95,6 +95,8 @@ class AlgebraDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraDescriptor":
+        if not isinstance(data, dict):
+            raise ConstraintViolated(f"algebra must be a JSON object, got {data!r}")
         grid = data.get("grid")
         return cls(AlgebraKind(data["kind"]), int(data["dim"]),
                    tuple(grid) if grid is not None else None)

@@ -489,25 +489,44 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
     Pairs leaving the group domain (image spectrum within GROUP_REJECT_EPS
     of 0, or outside a power form's half-plane) are rejected; more than 99%
     rejected raises DomainExhausted.  Deterministic for a given seed.
+
+    The samples are those of ``X = sample_box(...)`` then ``Y =
+    sample_box(...)`` on one ``default_rng(seed)``, drawn one kernel block
+    at a time: each double takes one PCG64 step, so ``advance`` starts the
+    Y stream, and the worst pair's rows, at their place in that stream.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    X = sample_box(sol.algebra, n_samples, box_radius, rng)
-    Y = sample_box(sol.algebra, n_samples, box_radius, rng)
+    alg = sol.algebra
+    seq = np.random.SeedSequence(seed)
+
+    def draws(skip: int) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(seq).advance(skip))
+
+    rng_x, rng_y = draws(0), draws(n_samples * alg.dim)
     fam, mult, M, w, axis, r, g = sol._kernel_args()
     rho = rho_of(sol).coords
-    unit = sol.algebra.unit().coords
+    unit = alg.unit().coords
     if fam == 0:
         # S(unit) - unit by the kernel's own product, not by part sums
         rho = (unit + M @ unit) - unit
-    gs, goldie, valid = _kernels.gs_residual_batch(
-        fam, mult, M, w, axis, r, g, rho, unit, X, Y, GROUP_REJECT_EPS)
+    gs = np.empty(n_samples)
+    goldie = np.empty(n_samples)
+    valid = np.empty(n_samples, dtype=np.uint8)
+    rows = _kernels.block_rows(alg.dim)
+    for lo in range(0, n_samples, rows):
+        m = min(rows, n_samples - lo)
+        X = sample_box(alg, m, box_radius, rng_x)
+        Y = sample_box(alg, m, box_radius, rng_y)
+        blk = slice(lo, lo + m)
+        gs[blk], goldie[blk], valid[blk] = _kernels.gs_residual_batch(
+            fam, mult, M, w, axis, r, g, rho, unit, X, Y, GROUP_REJECT_EPS)
     n_valid = int(valid.sum())
     if n_valid < max(1, math.ceil(0.01 * n_samples)):
         raise DomainExhausted(f"{n_samples - n_valid} of {n_samples} samples rejected")
     idx = int(np.argmax(np.where(valid.astype(bool), gs, -1.0)))
-    pair = (sol.algebra.element(X[idx]), sol.algebra.element(Y[idx]))
+    pair = tuple(alg.element(sample_box(alg, 1, box_radius, draws(k * alg.dim))[0])
+                 for k in (idx, n_samples + idx))
     return GoldieResidualReport(float(np.max(gs)), float(np.max(goldie)),
                                 n_valid, pair)
 

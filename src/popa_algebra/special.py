@@ -5,6 +5,7 @@ and the orthogonal-idempotent builder.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -20,8 +21,6 @@ TWO_PI = 2.0 * math.pi
 
 #: scan step in the real coordinate when bracketing roots
 ST_SCAN_STEP = 1e-3
-ST_NEWTON_TOL = 1e-14
-ST_NEWTON_MAX = 50
 
 
 # ---------------------------------------------------------------------------
@@ -42,38 +41,6 @@ class StSolution:
                 "residual": self.residual}
 
 
-def _y_curve(x: float) -> float:
-    """Positive root of y^2 = e^{2x} - (1+x)^2 (the modulus constraint)."""
-    val = math.expm1(2.0 * x) - x * (2.0 + x)  # e^{2x} - (1+x)^2, stable
-    return math.sqrt(val) if val > 0.0 else 0.0
-
-
-def _st_gap(x: float) -> float:
-    """sin y(x) - e^{-x} y(x); roots with cos y(x) > 0 satisfy the system."""
-    y = _y_curve(x)
-    return math.sin(y) - math.exp(-x) * y
-
-
-def _st_newton(x0: float, y0: float):
-    x, y = x0, y0
-    for _ in range(ST_NEWTON_MAX):
-        ex = math.exp(x)
-        f1 = ex * math.cos(y) - 1.0 - x
-        f2 = ex * math.sin(y) - y
-        if math.hypot(f1, f2) < ST_NEWTON_TOL:
-            break
-        j11 = ex * math.cos(y) - 1.0
-        j12 = -ex * math.sin(y)
-        j21 = ex * math.sin(y)
-        j22 = ex * math.cos(y) - 1.0
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
-            break
-        x -= (f1 * j22 - f2 * j12) / det
-        y -= (j11 * f2 - j21 * f1) / det
-    return x, y
-
-
 def st_residual(x: float, y: float) -> float:
     """|e^w - 1 - w| at w = x + iy."""
     ex = math.exp(x)
@@ -83,29 +50,30 @@ def st_residual(x: float, y: float) -> float:
 def st_roots(n_roots: int) -> List[StSolution]:
     """First roots of e^w = 1 + w with positive real part, ordered by y.
 
-    Along the curve y(x) forced by |e^w| = |1 + w| the system reduces to a
-    scalar equation in x; sign changes on a fine grid are polished by a
-    two-dimensional Newton step.
+    With W = -1 - w the equation reads W e^W = -1/e, so root k is
+    -1 - W_{-(k+1)}(-1/e) (Corless et al., "On the Lambert W function",
+    1996).  Each starts from the branch's asymptotic series L1 - L2 + L2/L1,
+    L1 = log(-1/e) + 2 pi i branch, L2 = log L1, and is polished by Halley's
+    iteration on e^w - 1 - w, which rounds the real part correctly more
+    often than iterating on W.
     """
     if n_roots < 1:
         raise ValueError("n_roots must be >= 1")
-    x_hi = math.log(TWO_PI * (n_roots + 2)) + 1.0
     roots: List[StSolution] = []
-    x_prev = ST_SCAN_STEP
-    f_prev = _st_gap(x_prev)
-    x = x_prev + ST_SCAN_STEP
-    while x <= x_hi and len(roots) < n_roots + 2:
-        f = _st_gap(x)
-        if f_prev == 0.0 or (f_prev < 0.0) != (f < 0.0):
-            xr, yr = _st_newton(0.5 * (x_prev + x), _y_curve(0.5 * (x_prev + x)))
-            if xr > 0.0 and math.cos(yr) > 0.0:
-                res = st_residual(xr, yr)
-                if res < 1e-10 and not any(abs(r.y - yr) < 1.0 for r in roots):
-                    roots.append(StSolution(xr, yr, int(yr // TWO_PI), res))
-        x_prev, f_prev = x, f
-        x += ST_SCAN_STEP
-    roots.sort(key=lambda r: r.y)
-    return roots[:n_roots]
+    for k in range(1, n_roots + 1):
+        l1 = complex(-1.0, math.pi) - 1j * TWO_PI * (k + 1)   # branch -(k+1)
+        l2 = cmath.log(l1)
+        w = -1.0 - (l1 - l2 + l2 / l1)
+        for _ in range(100):
+            ew = cmath.exp(w)
+            f, fp = ew - 1.0 - w, ew - 1.0
+            step = 2.0 * f * fp / (2.0 * fp * fp - f * ew)
+            w -= step
+            if abs(step) <= 1e-15 * abs(w):
+                break
+        roots.append(StSolution(w.real, w.imag, int(w.imag // TWO_PI),
+                                st_residual(w.real, w.imag)))
+    return roots
 
 
 def count_roots_negative_strip(step: float = ST_SCAN_STEP) -> int:

@@ -139,9 +139,9 @@ def test_verify_bad_samples_exits_two(tmp_path, samples):
     assert "--samples" in proc.stderr
 
 
-def _report_with(samples):
+def _report_with(**params):
     data = json.loads((DATA / "replay_one_exp.json").read_text(encoding="utf-8"))
-    data["params"]["samples"] = samples
+    data["params"].update(params)
     return data
 
 
@@ -149,15 +149,21 @@ NAN_POINT = [float("nan"), 0.1]
 
 #: (verb and flags, input file or None, what the diagnostic names)
 BAD_INPUTS = {
-    "report-samples-0": (["report"], _report_with(0), "'samples'"),
-    "report-samples-fraction": (["report"], _report_with(2.5), "'samples'"),
-    "report-samples-text": (["report"], _report_with("many"), "'samples'"),
+    "report-samples-0": (["report"], _report_with(samples=0), "'samples'"),
+    "report-samples-fraction": (["report"], _report_with(samples=2.5), "'samples'"),
+    "report-samples-text": (["report"], _report_with(samples="many"), "'samples'"),
     "solve-st-n-roots-0": (["solve-st", "--n-roots", "0"], None, "--n-roots"),
     "verify-box-radius-negative": (["verify", "--box-radius", "-1"], ONE_EXP,
                                    "--box-radius"),
     "verify-box-radius-nan": (["verify", "--box-radius", "nan"], ONE_EXP, "--box-radius"),
     "verify-text-in-rho": (["verify"], dict(CANONICAL, rho=["one", 1.0]),
                            "bad solution object"),
+    "verify-seed-negative": (["verify", "--seed=-1"], ONE_EXP, "--seed"),
+    "report-seed-negative": (["report"], _report_with(seed=-1), "'seed'"),
+    "tilt-solution-algebra-list": (["tilt"], {"solution": dict(CANONICAL, algebra=[1]),
+                                              "u": [0.1, 0.2]}, "bad solution object"),
+    "tilt-u-algebra-list": (["tilt"], {"solution": CANONICAL,
+                                       "u": {"coords": [1, 2], "algebra": [3]}}, "'u'"),
     "tilt-nan-u": (["tilt"], {"solution": CANONICAL, "u": NAN_POINT}, "'u'"),
     "invert-tilt-nan-v": (["invert-tilt"], {"solution": CANONICAL, "v": NAN_POINT},
                           "'v'"),
@@ -218,6 +224,20 @@ def test_solve_st(tmp_path, capsys):
     assert len(roots) == 3
     assert all(set(r) == {"x", "y", "branch", "residual"} for r in roots)
     assert all(r["residual"] < 1e-12 for r in roots)
+
+
+@pytest.mark.parametrize("n", [19, 30])
+def test_solve_st_matches_lambert_w_and_exits_zero(n, capsys):
+    # the scan this replaced skipped the root at y = 120.9 and failed from n = 20
+    from scipy.special import lambertw
+
+    code, out = _run(["solve-st", "--n-roots", str(n)], capsys)
+    assert code == 0
+    roots = json.loads(out)
+    assert len(roots) == n
+    for k, r in enumerate(roots, start=1):
+        want = complex(-1.0 - lambertw(-math.exp(-1.0), -(k + 1)))
+        assert abs(complex(r["x"], r["y"]) - want) <= 1e-15 * abs(want)
 
 
 def test_xi(tmp_path, capsys):

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+import verify_oracle as oracle
 from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           ConstraintViolated, DegenerateExpSolution,
                           DegenerateForm, DomainExhausted, IdempotentSolution,
@@ -14,7 +16,9 @@ from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           adjustor, check_omega_homogeneity, circle_inv, circle_op,
                           complex_plane, decomposition_check, dichotomy_check,
                           gamma, gamma_fd, hadamard, popa_isomorphism_check,
-                          rho_of, solution_from_json, tilt_inverse, verify_gs)
+                          grid_interval, rho_of, solution_from_json, tilt_inverse,
+                          verify_gs)
+from popa_algebra import _kernels
 from popa_algebra.errors import NotDifferentiable
 
 E = math.e
@@ -270,6 +274,99 @@ def test_pure_power_is_not_a_solution():
     assert abs((sol.eval(z) - sol.eval(a) * sol.eval(a)).coords[0] - 1.0) < 1e-12
     rep = verify_gs(sol, 4000, seed=5, box_radius=0.4)
     assert rep.max_gs_residual > 1e-2
+
+
+def _recording_kernel(mp):
+    """Patch the kernel to keep each call's (X, Y) and outputs."""
+    calls = []
+    real = _kernels.gs_residual_batch
+
+    def record(*args):
+        # copied first: at d = 1 the kernel overwrites X and Y in place
+        X, Y = args[9].copy(), args[10].copy()
+        out = real(*args)
+        calls.append((X, Y) + out)
+        return out
+
+    mp.setattr(_kernels, "gs_residual_batch", record)
+    return calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=hst.sampled_from([0, 3, 14, 2**31 - 1]) | hst.integers(0, 2**63),
+       d=hst.sampled_from([1, 2, 6, 64]),
+       size=hst.sampled_from(["1", "small", "rows-1", "rows", "rows+1", "blocks"]),
+       radius=hst.sampled_from([0.4, 3.0]))
+def test_streamed_samples_equal_one_shot_draws(seed, d, size, radius):
+    rows = _kernels.block_rows(d)
+    n = {"1": 1, "small": 5, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+         "blocks": 3 * rows + 7}[size]
+    rho = np.random.default_rng(seed).uniform(-1.0, 1.0, d)
+    sol = CanonicalSolution(hadamard(d).element(rho))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recording_kernel(mp)
+        rep = verify_gs(sol, n, seed=seed, box_radius=radius)
+    X, Y = oracle.draws(n, d, seed, radius)
+    assert all(len(c[0]) <= rows for c in calls)
+    assert np.concatenate([c[0] for c in calls]).tobytes() == X.tobytes()
+    assert np.concatenate([c[1] for c in calls]).tobytes() == Y.tobytes()
+    gs = np.concatenate([c[2] for c in calls])
+    valid = np.concatenate([c[4] for c in calls]).astype(bool)
+    idx = int(np.argmax(np.where(valid, gs, -1.0)))
+    assert rep.worst_pair[0].coords.tobytes() == X[idx].tobytes()
+    assert rep.worst_pair[1].coords.tobytes() == Y[idx].tobytes()
+
+
+def _grid64():
+    grid = np.arange(1, 65) / 65.0
+    parts = tuple(tuple(range(k, 64, 8)) for k in range(8))
+    return PartitionSolution(PartitionSpec(parts, np.linspace(-0.1, 0.1, 64)),
+                             grid_interval(grid))
+
+
+PURE_POWER = DegenerateExpSolution(DegenerateForm.PURE_POWER, axis=0, gamma_exp=1.5)
+
+#: (solution, seed, box radius); pairs per case: two blocks and a bit
+REFERENCE_CASES = [(sol, 5, 0.4) for sol in variant_zoo()] + [
+    (PURE_POWER, 5, 0.4),
+    (_grid64(), 6, 0.4),
+    # exp overflows on part of the box: the worst pair is the first NaN
+    (one_exp_2d(1.3), 0, 1000.0),
+    # the control's worst pair lies in the second block (row 56580)
+    (PURE_POWER, 4, 0.4),
+]
+
+
+@pytest.mark.parametrize("sol, seed, radius", REFERENCE_CASES,
+                         ids=lambda v: getattr(v, "variant", None))
+def test_verify_gs_matches_one_shot_reference(sol, seed, radius):
+    n = 2 * _kernels.block_rows(sol.algebra.dim) + 5
+    got = json.dumps(verify_gs(sol, n, seed=seed, box_radius=radius).to_json())
+    want = json.dumps(oracle.verify_gs(sol, n, seed=seed, box_radius=radius).to_json())
+    assert got == want
+
+
+def test_reference_cases_reach_nan_and_a_later_block():
+    n = 2 * _kernels.block_rows(2) + 5
+    rep = verify_gs(one_exp_2d(1.3), n, seed=0, box_radius=1000.0)
+    assert math.isnan(rep.max_gs_residual)
+    rep = verify_gs(PURE_POWER, n, seed=4, box_radius=0.4)
+    X, _ = oracle.draws(n, 2, 4, 0.4)
+    assert np.flatnonzero((X == rep.worst_pair[0].coords).all(axis=1))[0] >= _kernels.block_rows(2)
+
+
+def test_verify_gs_memory_does_not_grow_with_the_samples():
+    # X alone, drawn whole, would be 10^6 x 6 doubles = 45.8 MiB
+    import tracemalloc
+    sol = PartitionSolution(PartitionSpec(((0, 2, 4), (1, 3, 5)),
+                                          np.array([0.5, -0.3, 0.2, 0.4, -0.1, 0.3])))
+    tracemalloc.start()
+    try:
+        verify_gs(sol, 10**6, seed=1, box_radius=0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 # ---------------------------------------------------------------------------

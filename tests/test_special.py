@@ -12,7 +12,7 @@ from popa_algebra import (CanonicalSolution, InvalidTriple, NotInRange,
                           count_roots_negative_strip, eval_solution, hadamard,
                           idempotent_solution, st_roots, verify_gs, wj_build_S,
                           wj_extract, wj_verify, xi_root)
-from popa_algebra.special import _y_curve, st_residual
+from popa_algebra.special import st_residual
 
 A1, A2 = hadamard(1), hadamard(2)
 TWO_PI = 2 * math.pi
@@ -21,6 +21,12 @@ TWO_PI = 2 * math.pi
 # ---------------------------------------------------------------------------
 # roots of e^w = 1 + w
 # ---------------------------------------------------------------------------
+
+def _y_curve(x):
+    """Positive root of y^2 = e^{2x} - (1+x)^2 (the modulus constraint)."""
+    val = math.expm1(2.0 * x) - x * (2.0 + x)  # e^{2x} - (1+x)^2, stable
+    return math.sqrt(val) if val > 0.0 else 0.0
+
 
 def _newton_roots_oracle(n_wanted):
     """Independent root finder: plain complex Newton from a coarse grid."""
@@ -67,6 +73,26 @@ def test_roots_against_independent_newton_scan():
     assert len(ora) == 4
     for r, z in zip(lib, ora):
         assert abs(complex(r.x, r.y) - z) < 1e-9
+
+
+def test_roots_match_lambert_w_branches():
+    # root k is -1 - W_{-(k+1)}(-1/e); scipy's lambertw and mpmath's
+    # (at 30 digits) share no code with the library
+    import mpmath
+    from scipy.special import lambertw
+
+    roots = st_roots(1000)
+    assert len(roots) == 1000
+    for k, r in enumerate(roots, start=1):
+        w = complex(r.x, r.y)
+        want = complex(-1.0 - lambertw(-math.exp(-1.0), -(k + 1)))
+        assert abs(w - want) <= 1e-16 * abs(want), k
+        assert r.branch_index == k
+    with mpmath.workdps(30):
+        for k in (1, 2, 3, 4, 18, 19, 20, 30, 100, 500, 1000):
+            exact = -1 - mpmath.lambertw(-mpmath.exp(-1), -(k + 1))
+            got = roots[k - 1]
+            assert abs(mpmath.mpc(got.x, got.y) - exact) <= 1e-16 * abs(exact), k
 
 
 def test_no_roots_with_negative_real_part():
