@@ -76,6 +76,20 @@ class AlgebraDescriptor:
         """True when multiplication acts coordinate by coordinate."""
         return self.kind is not AlgebraKind.COMPLEX_AS_R2
 
+    def mul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+        """Product of coordinate arrays of shape (d,) or (d, rows).
+
+        ``a`` broadcasts against ``b``, whose shape the product has;
+        ``out`` may be ``b``.
+        """
+        if self.componentwise:
+            return np.multiply(a, b, out=out)
+        re = a[0] * b[0] - a[1] * b[1]
+        im = a[0] * b[1] + a[1] * b[0]
+        out = np.empty_like(b) if out is None else out
+        out[0], out[1] = re, im
+        return out
+
     def element(self, coords) -> "Element":
         return Element(np.asarray(coords, dtype=float), self)
 
@@ -160,11 +174,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            if self.algebra.componentwise:
-                return Element(self.coords * other.coords, self.algebra)
-            a, b = self.coords, other.coords
-            return Element([a[0] * b[0] - a[1] * b[1],
-                            a[0] * b[1] + a[1] * b[0]], self.algebra)
+            return Element(self.algebra.mul(self.coords, other.coords), self.algebra)
         return self.scale(other)
 
     def __rmul__(self, scalar):

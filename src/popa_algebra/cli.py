@@ -264,52 +264,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="classify, verify, tilt and solve solution families")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, input_required=True):
-        if input_required:
+    def verb(name, func, summary, *flags):
+        """A subcommand with --output and the shared flags it reads."""
+        p = sub.add_parser(name, help=summary)
+        if "input" in flags:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", type=_finite_nonnegative, default=1e-9)
-        p.add_argument("--seed", type=_nonnegative_int, default=0)
+        if "tol" in flags:
+            p.add_argument("--tol", type=_finite_nonnegative, default=1e-9)
+        if "seed" in flags:
+            p.add_argument("--seed", type=_nonnegative_int, default=0)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("classify", help="classify a sigma matrix or a 2-d solution")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("verify", help="sampled residuals of the composition law")
-    common(p)
+    verb("classify", _cmd_classify, "classify a sigma matrix or a 2-d solution",
+         "input", "tol")
+    p = verb("verify", _cmd_verify, "sampled residuals of the composition law",
+             "input", "tol", "seed")
     p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--box-radius", type=_finite_nonnegative, default=0.4)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("tilt", help="apply the tilting map to a point")
-    common(p)
-    p.set_defaults(func=_cmd_tilt)
-
-    p = sub.add_parser("invert-tilt", help="closed-form tilt inverse")
-    common(p)
-    p.set_defaults(func=_cmd_invert_tilt)
-
-    p = sub.add_parser("solve-tilt", help="fixed-point tilt solver")
-    common(p)
+    verb("tilt", _cmd_tilt, "apply the tilting map to a point", "input")
+    verb("invert-tilt", _cmd_invert_tilt, "closed-form tilt inverse", "input", "tol")
+    p = verb("solve-tilt", _cmd_solve_tilt, "fixed-point tilt solver", "input")
     p.add_argument("--max-iter", type=_positive_int, default=200)
-    p.set_defaults(func=_cmd_solve_tilt)
-
-    p = sub.add_parser("solve-st", help="roots of e^w = 1 + w, Re w > 0")
-    common(p, input_required=False)
+    p = verb("solve-st", _cmd_solve_st, "roots of e^w = 1 + w, Re w > 0")
     p.add_argument("--n-roots", type=_positive_int, default=10)
-    p.set_defaults(func=_cmd_solve_st)
-
-    p = sub.add_parser("xi", help="the boundary root of e^{-x} = x - 1")
-    common(p, input_required=False)
-    p.set_defaults(func=_cmd_xi)
-
-    p = sub.add_parser("wj", help="extract/verify/rebuild a solution triple")
-    common(p)
-    p.set_defaults(func=_cmd_wj)
-
-    p = sub.add_parser("report", help="re-run a verify report and compare")
-    common(p)
-    p.set_defaults(func=_cmd_report)
+    verb("xi", _cmd_xi, "the boundary root of e^{-x} = x - 1")
+    verb("wj", _cmd_wj, "extract/verify/rebuild a solution triple", "input", "tol", "seed")
+    verb("report", _cmd_report, "re-run a verify report and compare", "input")
     return ap
 
 

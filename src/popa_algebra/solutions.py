@@ -1,7 +1,7 @@
 """Continuous solution families of the composition law S(x + S(x)y) = S(x)S(y).
 
-Each family knows how to evaluate itself, expose the derivative at the
-origin, and serialize to JSON.  Every linear family is one map, unit + M x,
+Each family knows how to evaluate itself, on one point or on a block of
+points, expose the derivative at the origin, and serialize to JSON.  Every linear family is one map, unit + M x,
 held by ``LinearSolution``; the univariate-driven forms are
 ``DegenerateExpSolution``.  The induced group operation, the adjustor
 (deviation from the affine form), and sampled verification of the defining
@@ -29,6 +29,8 @@ GROUP_REJECT_EPS = 1e-9
 
 #: orthogonality tolerance for idempotent systems
 IDEMPOTENT_TOL = 1e-12
+
+_DOMAIN_EPS = 1e-9  # eval_block rejects power-form bases this close to 0
 
 
 class DegenerateForm(str, Enum):
@@ -99,9 +101,15 @@ class GsSolution:
     algebra: AlgebraDescriptor
     variant: str
 
-    # each family fills in: _kernel_args() -> (fam, mult, M, w, axis, r, g)
-
     def eval(self, x: Element) -> Element:
+        raise NotImplementedError
+
+    def eval_block(self, Xb: np.ndarray):
+        """``(S, ok)``: the map on each column of a (d, rows) block of points.
+
+        ``ok`` is False on points outside the map's domain, where ``S``
+        holds a placeholder, and may be the scalar True.
+        """
         raise NotImplementedError
 
     def __call__(self, x: Element) -> Element:
@@ -129,9 +137,6 @@ class GsSolution:
     def _check_point(self, x: Element):
         if x.algebra != self.algebra:
             raise DimensionMismatch("point does not belong to the solution's algebra")
-
-    def _kernel_args(self):
-        raise NotImplementedError
 
     def params_json(self) -> dict:
         raise NotImplementedError
@@ -200,9 +205,10 @@ class LinearSolution(GsSolution):
     def omega_homogeneous(self) -> bool:
         return self._omega_homogeneous
 
-    def _kernel_args(self):
-        mult = 0 if self.algebra.componentwise else 1
-        return 0, mult, self.gamma_matrix(), np.zeros(self.algebra.dim), 0, 0.0, 1.0
+    def eval_block(self, Xb: np.ndarray):
+        out = self.gamma_matrix() @ Xb
+        out += self.algebra.unit().coords[:, None]
+        return out, True
 
     def params_json(self) -> dict:
         return self._params
@@ -386,11 +392,19 @@ class DegenerateExpSolution(GsSolution):
             return M
         raise NotDifferentiable("the pure power form has no derivative at 0")
 
-    def _kernel_args(self):
+    def eval_block(self, Xb: np.ndarray):
+        out = np.ones_like(Xb)
         if self.form is DegenerateForm.ONE_EXP:
-            return 1, 0, np.zeros((self.algebra.dim,) * 2), self.weights, self.exp_index, 0.0, 1.0
-        fam = 2 if self.form is DegenerateForm.AFFINE_POWER else 3
-        return fam, 0, np.zeros((2, 2)), np.zeros(2), self.axis, self.rho_coeff, self.gamma_exp
+            out[self.exp_index] = np.exp(self.weights @ Xb)
+            return out, True
+        if self.form is DegenerateForm.AFFINE_POWER:
+            base = 1.0 + self.rho_coeff * Xb[self.axis]
+        else:
+            base = Xb[self.axis]
+        ok = base > _DOMAIN_EPS
+        out[self.axis] = base
+        out[1 - self.axis] = np.where(ok, base, 1.0) ** self.gamma_exp
+        return out, ok
 
     def params_json(self) -> dict:
         out = {"form": self.form.value, "axis": self.axis,
@@ -504,27 +518,26 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
         return np.random.Generator(np.random.PCG64(seq).advance(skip))
 
     rng_x, rng_y = draws(0), draws(n_samples * alg.dim)
-    fam, mult, M, w, axis, r, g = sol._kernel_args()
     rho = rho_of(sol).coords
-    unit = alg.unit().coords
-    if fam == 0:
-        # S(unit) - unit by the kernel's own product, not by part sums
-        rho = (unit + M @ unit) - unit
+    if isinstance(sol, LinearSolution):
+        # S(unit) - unit by the block's own product, not by part sums
+        unit = alg.unit().coords
+        rho = (unit + sol.gamma_matrix() @ unit) - unit
     gs = np.empty(n_samples)
     goldie = np.empty(n_samples)
-    valid = np.empty(n_samples, dtype=np.uint8)
+    valid = np.empty(n_samples, dtype=bool)
     rows = _kernels.block_rows(alg.dim)
     for lo in range(0, n_samples, rows):
         m = min(rows, n_samples - lo)
         X = sample_box(alg, m, box_radius, rng_x)
         Y = sample_box(alg, m, box_radius, rng_y)
         blk = slice(lo, lo + m)
-        gs[blk], goldie[blk], valid[blk] = _kernels.gs_residual_batch(
-            fam, mult, M, w, axis, r, g, rho, unit, X, Y, GROUP_REJECT_EPS)
+        gs[blk], goldie[blk], valid[blk] = _kernels.residuals(
+            sol, rho, X, Y, GROUP_REJECT_EPS)
     n_valid = int(valid.sum())
     if n_valid < max(1, math.ceil(0.01 * n_samples)):
         raise DomainExhausted(f"{n_samples - n_valid} of {n_samples} samples rejected")
-    idx = int(np.argmax(np.where(valid.astype(bool), gs, -1.0)))
+    idx = int(np.argmax(np.where(valid, gs, -1.0)))
     pair = tuple(alg.element(sample_box(alg, 1, box_radius, draws(k * alg.dim))[0])
                  for k in (idx, n_samples + idx))
     return GoldieResidualReport(float(np.max(gs)), float(np.max(goldie)),

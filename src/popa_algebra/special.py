@@ -8,6 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -139,17 +140,21 @@ class WjTriple:
     def algebra(self) -> AlgebraDescriptor:
         return self.lambda_samples[0].algebra
 
+    @cached_property
     def kernel_matrix(self) -> np.ndarray:
-        """Orthonormal rows spanning the kernel subspace."""
+        """Orthonormal rows spanning the kernel subspace, computed once."""
         if not self.kernel_basis:
-            return np.zeros((0, self.algebra.dim))
-        raw = np.array([e.coords for e in self.kernel_basis])
-        q, _ = np.linalg.qr(raw.T)
-        return q.T[: np.linalg.matrix_rank(raw)]
+            k = np.zeros((0, self.algebra.dim))
+        else:
+            raw = np.array([e.coords for e in self.kernel_basis])
+            q, _ = np.linalg.qr(raw.T)
+            k = q.T[: np.linalg.matrix_rank(raw)]
+        k.flags.writeable = False
+        return k
 
     def complement_part(self, x: Element) -> np.ndarray:
         """Coordinates of x projected off the kernel subspace."""
-        k = self.kernel_matrix()
+        k = self.kernel_matrix
         c = x.coords
         if k.shape[0]:
             c = c - k.T @ (k @ c)
@@ -164,12 +169,9 @@ def wj_verify(t: WjTriple, tol: float = 1e-9) -> bool:
     homomorphism modulo the kernel.
     """
     unit = t.algebra.unit()
-    k = t.kernel_matrix()
 
     def off_kernel(x: Element) -> float:
-        c = x.coords
-        if k.shape[0]:
-            c = c - k.T @ (k @ c)
+        c = t.complement_part(x)
         return float(np.max(np.abs(c))) if c.size else 0.0
 
     for lam in t.lambda_samples:
@@ -237,7 +239,7 @@ class WjSolutionOracle:
         stay inside the covered table.
         """
         rng = np.random.default_rng(seed)
-        k = self.triple.kernel_matrix()
+        k = self.triple.kernel_matrix
         worst = 0.0
         lams = list(self.triple.lambda_samples)
         reps = [self.triple.section(lam) for lam in lams]

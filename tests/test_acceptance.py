@@ -306,7 +306,7 @@ def test_criterion_10_wj_round_trip():
         triple = wj_extract(sol, lams)
         assert wj_verify(triple)
         oracle = wj_build_S(triple)
-        k = triple.kernel_matrix()
+        k = triple.kernel_matrix
         per_sol = 1000 // len(sols) + 1
         covered = oracle.covered_values()
         for _ in range(per_sol):

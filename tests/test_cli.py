@@ -182,6 +182,17 @@ BAD_INPUTS = {
                                 "--tol")
        for name, value in (("nan", "nan"), ("inf", "inf"), ("minus-inf", "-inf"),
                            ("negative", "-1"))},
+    # a flag the verb does not read is refused, not silently ignored
+    **{f"{verb}-{flag}": ([verb, f"--{flag}", "3"], data, f"--{flag}")
+       for verb, data, flags in (
+           ("classify", {"sigma": [[1, 2], [3, 4]]}, ("seed",)),
+           ("tilt", {"solution": CANONICAL, "u": [0.1, 0.2]}, ("seed", "tol")),
+           ("invert-tilt", {"solution": CANONICAL, "v": [0.1, 0.2]}, ("seed",)),
+           ("solve-tilt", {"solution": CANONICAL, "v": [0.01, 0.02]}, ("seed", "tol")),
+           ("solve-st", None, ("seed", "tol")),
+           ("xi", None, ("seed", "tol")),
+           ("report", _report_with(), ("seed", "tol")))
+       for flag in flags},
 }
 
 

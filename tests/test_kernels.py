@@ -1,12 +1,14 @@
-"""The batch kernel must agree with the element ops, block by block."""
+"""The residual kernel must agree with the element ops, block by block."""
 
 import numpy as np
 import pytest
 
+import verify_oracle as oracle
 from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           DegenerateExpSolution, DegenerateForm,
                           IdempotentSolution, PartitionSolution, PartitionSpec,
-                          complex_plane, grid_interval, hadamard, rho_of)
+                          complex_plane, grid_interval, hadamard, rho_of,
+                          verify_gs)
 from popa_algebra import _kernels
 from popa_algebra.errors import NotInGroup
 from popa_algebra.solutions import GROUP_REJECT_EPS
@@ -35,12 +37,9 @@ def test_kernel_matches_element_path(sol):
     d = sol.algebra.dim
     X = rng.uniform(-0.4, 0.4, size=(40, d))
     Y = rng.uniform(-0.4, 0.4, size=(40, d))
-    fam, mult, M, w, axis, r, g = sol._kernel_args()
     rho_el = rho_of(sol)
     unit = sol.algebra.unit()
-    gs, goldie, valid = _kernels.gs_residual_batch(
-        fam, mult, M, w, axis, r, g, rho_el.coords, unit.coords, X, Y,
-        GROUP_REJECT_EPS)
+    gs, goldie, valid = _kernels.residuals(sol, rho_el.coords, X, Y, GROUP_REJECT_EPS)
     for p in range(X.shape[0]):
         if not valid[p]:
             continue
@@ -71,22 +70,19 @@ def _boundary_zoo():
 
 @pytest.mark.parametrize("sol", _boundary_zoo(),
                          ids=lambda s: f"{s.variant}-d{s.algebra.dim}")
-def test_block_boundaries_match_element_path(sol):
-    # two full blocks and 5 pairs more; the 8 pairs on each side of both
-    # block boundaries are checked against Element arithmetic, their
-    # accept/reject verdict included
+def test_block_boundaries_match_element_path(sol, monkeypatch):
+    # verify_gs over two full blocks and 5 pairs more; the 8 pairs on each
+    # side of both block boundaries are checked against Element
+    # arithmetic, their accept/reject verdict included
     d = sol.algebra.dim
     rows = max(256, _kernels.BLOCK_COORDS // d)
     n = 2 * rows + 5
-    rng = np.random.default_rng(11)
-    X = rng.uniform(-0.4, 0.4, size=(n, d))
-    Y = rng.uniform(-0.4, 0.4, size=(n, d))
-    fam, mult, M, w, axis, r, g = sol._kernel_args()
+    calls = oracle.recording_kernel(monkeypatch)
+    verify_gs(sol, n, seed=11, box_radius=0.4)
+    assert [len(c[0]) for c in calls] == [rows, rows, 5]
+    X, Y, gs, goldie, valid = (np.concatenate(part) for part in zip(*calls))
     rho_el = rho_of(sol)
     unit = sol.algebra.unit()
-    gs, goldie, valid = _kernels.gs_residual_batch(
-        fam, mult, M, w, axis, r, g, rho_el.coords, unit.coords, X, Y,
-        GROUP_REJECT_EPS)
     assert gs.shape == goldie.shape == valid.shape == (n,)
     edges = [*range(rows - 8, rows + 8), *range(2 * rows - 8, n)]
     assert valid[edges].any()
@@ -107,3 +103,18 @@ def test_block_boundaries_match_element_path(sol):
         n_of = lambda pt, spt: spt - unit - rho_el * pt
         assert abs(gs[p] - (sz - sx * sy).norm()) < 1e-13
         assert abs(goldie[p] - (n_of(z, sz) - n_of(x, sx) - sx * n_of(y, sy)).norm()) < 1e-13
+
+
+@pytest.mark.parametrize("sol, rows", [
+    (CanonicalSolution(hadamard(1).element([0.3])), 40),
+    (CanonicalSolution(hadamard(2).element([0.8, -0.6])), 1),
+], ids=["d1", "one-row"])
+def test_kernel_leaves_its_inputs_alone(sol, rows):
+    # the transposes of these blocks are contiguous views of X and Y
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-0.4, 0.4, size=(rows, sol.algebra.dim))
+    Y = rng.uniform(-0.4, 0.4, size=(rows, sol.algebra.dim))
+    x0, y0 = X.tobytes(), Y.tobytes()
+    _kernels.residuals(sol, rho_of(sol).coords, X, Y, GROUP_REJECT_EPS)
+    assert X.tobytes() == x0
+    assert Y.tobytes() == y0

@@ -11,8 +11,9 @@ import verify_oracle as oracle
 from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           ConstraintViolated, DegenerateExpSolution,
                           DegenerateForm, DomainExhausted, IdempotentSolution,
-                          LinearCandidate, NotInGroup, NotInvertible,
-                          NotOmegaHomogeneous, PartitionSolution, PartitionSpec,
+                          LinearCandidate, LinearSolution, NotInGroup,
+                          NotInvertible, NotOmegaHomogeneous,
+                          PartitionSolution, PartitionSpec,
                           adjustor, check_omega_homogeneity, circle_inv, circle_op,
                           complex_plane, decomposition_check, dichotomy_check,
                           gamma, gamma_fd, hadamard, popa_isomorphism_check,
@@ -276,22 +277,6 @@ def test_pure_power_is_not_a_solution():
     assert rep.max_gs_residual > 1e-2
 
 
-def _recording_kernel(mp):
-    """Patch the kernel to keep each call's (X, Y) and outputs."""
-    calls = []
-    real = _kernels.gs_residual_batch
-
-    def record(*args):
-        # copied first: at d = 1 the kernel overwrites X and Y in place
-        X, Y = args[9].copy(), args[10].copy()
-        out = real(*args)
-        calls.append((X, Y) + out)
-        return out
-
-    mp.setattr(_kernels, "gs_residual_batch", record)
-    return calls
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=hst.sampled_from([0, 3, 14, 2**31 - 1]) | hst.integers(0, 2**63),
        d=hst.sampled_from([1, 2, 6, 64]),
@@ -304,7 +289,7 @@ def test_streamed_samples_equal_one_shot_draws(seed, d, size, radius):
     rho = np.random.default_rng(seed).uniform(-1.0, 1.0, d)
     sol = CanonicalSolution(hadamard(d).element(rho))
     with pytest.MonkeyPatch.context() as mp:
-        calls = _recording_kernel(mp)
+        calls = oracle.recording_kernel(mp)
         rep = verify_gs(sol, n, seed=seed, box_radius=radius)
     X, Y = oracle.draws(n, d, seed, radius)
     assert all(len(c[0]) <= rows for c in calls)
@@ -329,6 +314,8 @@ PURE_POWER = DegenerateExpSolution(DegenerateForm.PURE_POWER, axis=0, gamma_exp=
 #: (solution, seed, box radius); pairs per case: two blocks and a bit
 REFERENCE_CASES = [(sol, 5, 0.4) for sol in variant_zoo()] + [
     (PURE_POWER, 5, 0.4),
+    # d = 1: every block's transpose is contiguous, and the kernel copies it
+    (CanonicalSolution(A1.element([0.3])), 2, 0.4),
     (_grid64(), 6, 0.4),
     # exp overflows on part of the box: the worst pair is the first NaN
     (one_exp_2d(1.3), 0, 1000.0),
@@ -367,6 +354,44 @@ def test_verify_gs_memory_does_not_grow_with_the_samples():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def _summand_scale(sol, x, value):
+    """Per-coordinate size against which a computed S(x) is exact to rounding.
+
+    A linear family's S(x) = unit + M x is a sum that may cancel, so its
+    rounding scales with the summands, |unit| + |M| |x|; the exp and power
+    forms are products, exact relative to the value itself.
+    """
+    if isinstance(sol, LinearSolution):
+        return np.abs(sol.algebra.unit().coords) + np.abs(sol.gamma_matrix()) @ np.abs(x)
+    return np.abs(value)
+
+
+# the grid k / 64 keeps each power base either <= 0 or at least 1/160, off
+# the band (0, 1e-9] where eval (base <= 0) and eval_block (base <= 1e-9)
+# part; k = 0 is the pure power form's edge, -91 and -92 straddle the
+# affine one's (1 + 0.7 x = 0)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sol=hst.sampled_from(variant_zoo() + [PURE_POWER]),
+       cols=hst.lists(hst.lists(hst.sampled_from([0, -91, -92]) | hst.integers(-256, 256),
+                                min_size=3, max_size=3),
+                      min_size=1, max_size=12))
+def test_eval_block_matches_eval_per_column(sol, cols):
+    d = sol.algebra.dim
+    Xb = np.ascontiguousarray(np.array(cols, dtype=float)[:, :d].T / 64.0)
+    S, ok = sol.eval_block(Xb)
+    ok = np.broadcast_to(ok, (Xb.shape[1],))
+    assert S.shape == Xb.shape
+    for j in range(Xb.shape[1]):
+        x = Xb[:, j]
+        try:
+            want = sol.eval(sol.algebra.element(x)).coords
+        except NotInGroup:
+            assert not ok[j]
+            continue
+        assert ok[j]
+        assert np.all(np.abs(S[:, j] - want) <= 1e-15 * _summand_scale(sol, x, want))
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_wj_roundtrip_matches_solution_mod_kernel():
     lams = [sol.eval(A2.element(rng.uniform(-0.3, 0.3, 2))) for _ in range(4)]
     triple = wj_extract(sol, lams)
     oracle = wj_build_S(triple)
-    k = triple.kernel_matrix()
+    k = triple.kernel_matrix
     for lam in oracle.covered_values():
         base = triple.section(lam)
         for _ in range(5):
