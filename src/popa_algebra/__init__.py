@@ -3,8 +3,8 @@ concrete commutative unital algebras, with the induced group structure,
 structure/classification theory, exponential tilting, and a CLI.
 """
 
-from .algebra import (AlgebraDescriptor, AlgebraKind, Element, Spectrum,
-                      complex_plane, grid_interval, hadamard)
+from .algebra import (AlgebraDescriptor, AlgebraKind, Element, complex_plane,
+                      grid_interval, hadamard)
 from .errors import (ConstraintViolated, DimensionMismatch, DomainExhausted,
                      InvalidTriple, LogBranchViolation, NoConvergence,
                      NotDifferentiable, NotInGroup, NotInRange, NotInvertible,
@@ -16,16 +16,16 @@ from .solutions import (CanonicalSolution, ComplexReImSolution,
                         LinearCandidate, LinearSolution, PartitionSolution,
                         PartitionSpec, adjustor,
                         check_omega_homogeneity, circle_inv, circle_op,
-                        decomposition_check, dichotomy_check, eval_solution,
-                        gamma, gamma_fd, popa_isomorphism_check, rho_of,
-                        solution_from_json, verify_gs)
-from .special import (StSolution, WjTriple, count_roots_negative_strip,
-                      idempotent_solution, st_roots, wj_build_S, wj_extract,
+                        decomposition_check, dichotomy_check, gamma, gamma_fd,
+                        popa_isomorphism_check, rho_of, solution_from_json,
+                        verify_gs)
+from .special import (StSolution, WjSolutionOracle, WjTriple,
+                      count_roots_negative_strip, st_roots, wj_extract,
                       wj_verify, xi_root)
 from .structure import (SigmaMatrix, StructureReport, TwoDClass,
                         TwoDClassification, analyse_sigma, classify_2d,
-                        factorize, grid_cinterval_solution, kernel_subspace,
-                        recover_partition, validate_sigma)
+                        factorize, kernel_subspace, recover_partition,
+                        validate_sigma)
 from .tilting import (Direction, RatioLimitResult, TiltResult,
                       UnboundednessVerdict, lambda_scale, radiality_check,
                       ratio_limit_check, tilt_T, tilt_inverse, tilt_path,

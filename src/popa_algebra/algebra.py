@@ -130,16 +130,6 @@ def grid_interval(grid: Sequence[float]) -> AlgebraDescriptor:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Multiset of spectral points, as a complex array."""
-
-    points: np.ndarray
-
-    def min_modulus(self) -> float:
-        return float(np.min(np.abs(self.points)))
-
-
-@dataclass(frozen=True)
 class Element:
     """A point of a concrete algebra: coordinate vector plus descriptor."""
 
@@ -195,11 +185,12 @@ class Element:
             return float(np.max(np.abs(self.coords))) if self.algebra.dim else 0.0
         return float(math.hypot(self.coords[0], self.coords[1]))
 
-    def spectrum(self) -> Spectrum:
+    def spectrum(self) -> np.ndarray:
+        """Multiset of spectral points, as a complex array."""
         if self.algebra.componentwise:
-            return Spectrum(self.coords.astype(complex))
+            return self.coords.astype(complex)
         z = self.as_complex()
-        return Spectrum(np.array([z, z.conjugate()]))
+        return np.array([z, z.conjugate()])
 
     def as_complex(self) -> complex:
         if self.algebra.componentwise:
@@ -207,7 +198,7 @@ class Element:
         return complex(self.coords[0], self.coords[1])
 
     def is_invertible(self, eps: float = INVERTIBILITY_EPS) -> bool:
-        return self.spectrum().min_modulus() > eps
+        return float(np.min(np.abs(self.spectrum()))) > eps
 
     def invert(self) -> "Element":
         if not self.is_invertible():
@@ -233,7 +224,7 @@ class Element:
 
     def in_log_branch(self) -> bool:
         """Whether the spectrum avoids (-inf, 0], the principal log's cut."""
-        z = self.spectrum().points
+        z = self.spectrum()
         return not np.any((z.imag == 0.0) & (z.real <= 0.0))
 
     def log(self) -> "Element":

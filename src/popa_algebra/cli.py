@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .algebra import Element
 from .errors import NoConvergence, PopaAlgebraError
-from .solutions import eval_solution, solution_from_json, verify_gs
-from .special import st_roots, wj_build_S, wj_extract, xi_root
+from .solutions import solution_from_json, verify_gs
+from .special import WjSolutionOracle, st_roots, wj_extract, xi_root
 from .structure import (SigmaMatrix, analyse_sigma, classify_2d,
                         classify_partition_2d)
 from .tilting import tilt_T, tilt_inverse, tilt_solve_fixed_point
@@ -187,11 +187,11 @@ def _cmd_wj(args) -> int:
     lams = [_load_point({"lambda_samples": s}, sol, "lambda_samples", args.input)
             for s in raw_samples]
     triple = wj_extract(sol, lams, tol=args.tol)
-    oracle = wj_build_S(triple, tol=max(args.tol, 1e-9))
+    oracle = WjSolutionOracle(triple, tol=max(args.tol, 1e-9))
     worst = 0.0
     for lam in oracle.covered_values():
         x = triple.section(lam)
-        worst = max(worst, (eval_solution(sol, x) - oracle.eval(x)).norm())
+        worst = max(worst, (sol.eval(x) - oracle.eval(x)).norm())
     covered_residual = oracle.gs_residual_on_covered(seed=args.seed)
     out = {"verified": True,
            "kernel_dim": len(triple.kernel_basis),

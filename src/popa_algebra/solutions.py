@@ -30,7 +30,7 @@ GROUP_REJECT_EPS = 1e-9
 #: orthogonality tolerance for idempotent systems
 IDEMPOTENT_TOL = 1e-12
 
-_DOMAIN_EPS = 1e-9  # eval_block rejects power-form bases this close to 0
+_DOMAIN_EPS = 1e-9  # a power form's base must exceed this
 
 
 class DegenerateForm(str, Enum):
@@ -111,9 +111,6 @@ class GsSolution:
         holds a placeholder, and may be the scalar True.
         """
         raise NotImplementedError
-
-    def __call__(self, x: Element) -> Element:
-        return self.eval(x)
 
     def gamma_matrix(self) -> np.ndarray:
         """Real coordinate matrix of the derivative of the map at 0."""
@@ -294,12 +291,12 @@ def LinearCandidate(matrix, algebra: Optional[AlgebraDescriptor] = None) -> Line
                           omega_homogeneous=False)
 
 
-def _check_orthogonal_idempotents(elements: Sequence[Element], tol: float = IDEMPOTENT_TOL):
+def _check_orthogonal_idempotents(elements: Sequence[Element]):
     for i, e in enumerate(elements):
-        if (e * e - e).norm() > tol:
+        if (e * e - e).norm() > IDEMPOTENT_TOL:
             raise NotOrthogonalIdempotents(f"element {i} is not idempotent")
         for j in range(i + 1, len(elements)):
-            if (e * elements[j]).norm() > tol:
+            if (e * elements[j]).norm() > IDEMPOTENT_TOL:
                 raise NotOrthogonalIdempotents(f"elements {i} and {j} are not orthogonal")
 
 
@@ -312,7 +309,7 @@ class DegenerateExpSolution(GsSolution):
 
     ``AFFINE_POWER`` / ``PURE_POWER``: the two-dimensional forms driven by
     coordinate ``axis``: (1 + rho*x_a, (1 + rho*x_a)^g) and (x_a, x_a^g).
-    The power forms are only defined where the base is positive; the pure
+    The power forms are only defined where the base exceeds 1e-9; the pure
     power form is kept for completeness of the represented catalogue but
     does not satisfy the composition law away from its fixed points (see
     ``verify_gs``), and has no derivative at the origin.
@@ -373,8 +370,8 @@ class DegenerateExpSolution(GsSolution):
             base = 1.0 + self.rho_coeff * c[self.axis]
         else:
             base = c[self.axis]
-        if base <= 0.0:
-            raise NotInGroup("power form undefined: base is not positive")
+        if not base > _DOMAIN_EPS:
+            raise NotInGroup(f"power form undefined: base is not above {_DOMAIN_EPS}")
         out = np.empty(2)
         out[self.axis] = base
         out[1 - self.axis] = base ** self.gamma_exp
@@ -443,10 +440,6 @@ def solution_from_json(data: dict) -> GsSolution:
 # ---------------------------------------------------------------------------
 # the induced group operation and the adjustor
 # ---------------------------------------------------------------------------
-
-def eval_solution(sol: GsSolution, x: Element) -> Element:
-    return sol.eval(x)
-
 
 def circle_op(sol: GsSolution, x: Element, y: Element) -> Element:
     """Group operation induced by the solution: x + S(x) y."""
@@ -553,8 +546,9 @@ def gamma(sol: GsSolution, u: Element) -> Element:
     return sol.gamma(u)
 
 
-def gamma_fd(sol: GsSolution, u: Element, h: float = 1e-6) -> Element:
+def gamma_fd(sol: GsSolution, u: Element) -> Element:
     """Central finite-difference cross-check of the analytic derivative."""
+    h = 1e-6
     return (1.0 / (2.0 * h)) * (sol.eval(h * u) - sol.eval((-h) * u))
 
 

@@ -1,6 +1,5 @@
 """Special constructions: the transcendental standardized-tilt roots on the
-complex plane, the kernel/group/section characterization of all solutions,
-and the orthogonal-idempotent builder.
+complex plane and the kernel/group/section characterization of all solutions.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, Element
 from .errors import InvalidTriple, NotInRange
-from .solutions import GsSolution, IdempotentSolution, LinearSolution
+from .solutions import GsSolution
 from .structure import null_space_basis
 
 TWO_PI = 2.0 * math.pi
@@ -77,19 +76,19 @@ def st_roots(n_roots: int) -> List[StSolution]:
     return roots
 
 
-def count_roots_negative_strip(step: float = ST_SCAN_STEP) -> int:
+def count_roots_negative_strip() -> int:
     """Brackets of the reduced system for Re w in (-xi, 0): always zero."""
     xi = xi_root()
     count = 0
-    x = -xi + step
+    x = -xi + ST_SCAN_STEP
     f_prev = _st_gap_negative(x)
-    x += step
-    while x < -step:
+    x += ST_SCAN_STEP
+    while x < -ST_SCAN_STEP:
         f = _st_gap_negative(x)
         if f_prev is not None and f is not None and (f_prev < 0.0) != (f < 0.0):
             count += 1
         f_prev = f
-        x += step
+        x += ST_SCAN_STEP
     return count
 
 
@@ -232,8 +231,8 @@ class WjSolutionOracle:
                 return lam
         return x.algebra.zero()
 
-    def gs_residual_on_covered(self, seed: int = 0, n_pairs: int = 200) -> float:
-        """Composition-law residual over sampled pairs of covered points.
+    def gs_residual_on_covered(self, seed: int = 0) -> float:
+        """Composition-law residual over 200 sampled pairs of covered points.
 
         Pairs are drawn from the generating samples so that their products
         stay inside the covered table.
@@ -243,7 +242,7 @@ class WjSolutionOracle:
         worst = 0.0
         lams = list(self.triple.lambda_samples)
         reps = [self.triple.section(lam) for lam in lams]
-        for _ in range(n_pairs):
+        for _ in range(200):
             i = int(rng.integers(len(lams)))
             j = int(rng.integers(len(lams)))
             l1, l2 = lams[i], lams[j]
@@ -259,10 +258,6 @@ class WjSolutionOracle:
         if not k.shape[0]:
             return alg.zero()
         return alg.element(k.T @ rng.uniform(-0.5, 0.5, size=k.shape[0]))
-
-
-def wj_build_S(t: WjTriple, tol: float = 1e-9) -> WjSolutionOracle:
-    return WjSolutionOracle(t, tol)
 
 
 def wj_extract(sol: GsSolution, lambda_samples: Sequence[Element],
@@ -290,17 +285,3 @@ def wj_extract(sol: GsSolution, lambda_samples: Sequence[Element],
         section(lam)  # fail fast on unreachable samples
     return WjTriple(tuple(basis), tuple(lambda_samples), section)
 
-
-# ---------------------------------------------------------------------------
-# idempotent builder
-# ---------------------------------------------------------------------------
-
-def idempotent_solution(algebra: AlgebraDescriptor, idempotents: Sequence[Element],
-                        sigma: Sequence[float]) -> LinearSolution:
-    """Solution unit + sum_i sigma(e_i x) e_i from orthogonal idempotents.
-
-    Raises NotOrthogonalIdempotents unless e_i e_j = delta_ij e_i holds to
-    the package tolerance.  With spanning rank-one idempotents this
-    reproduces the affine family.
-    """
-    return IdempotentSolution(idempotents, sigma, algebra)

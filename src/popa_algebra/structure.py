@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from .algebra import Element, grid_interval, hadamard
+from .algebra import Element, hadamard
 from .errors import ConstraintViolated, UnsupportedDimension
-from .solutions import GsSolution, LinearSolution, PartitionSpec, PartitionSolution
+from .solutions import GsSolution, PartitionSpec
 
 DEFAULT_ROW_TOL = 1e-9
 
@@ -118,8 +118,10 @@ def _components(adj: np.ndarray) -> List[List[int]]:
     return comps
 
 
-def _partition(a: np.ndarray, tol: float) -> PartitionSpec:
-    # a has passed validate_sigma; each part is checked against its first row
+def _partition(a: np.ndarray, tol: float) -> Optional[PartitionSpec]:
+    """The partition of a matrix that passed validate_sigma, or None when a
+    row disagrees with its part's first row (coupled rows agree pairwise
+    but drift along a chain)."""
     parts = _components(_coupling(a, tol))
     coords = np.arange(a.shape[0])
     rep = np.empty_like(coords)
@@ -127,14 +129,17 @@ def _partition(a: np.ndarray, tol: float) -> PartitionSpec:
         rep[part] = part[0]
     others = np.flatnonzero(rep != coords)
     if not _rows_agree(a, rep[others], others, tol):
-        raise ConstraintViolated("coupled rows disagree within a part")
+        return None
     return PartitionSpec(tuple(tuple(p) for p in parts), a[rep, coords])
 
 
 def recover_partition(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> PartitionSpec:
     """Extract the coordinate partition and generator vector of a valid matrix."""
     _require_valid(m, tol)
-    return _partition(m.entries, tol)
+    spec = _partition(m.entries, tol)
+    if spec is None:
+        raise ConstraintViolated("coupled rows disagree within a part")
+    return spec
 
 
 def _kernel_elements(a: np.ndarray) -> List[Element]:
@@ -220,59 +225,46 @@ class StructureReport:
         return out
 
 
-def factorize(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL,
-              n_check: int = 64, seed: int = 0) -> StructureReport:
+def factorize(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureReport:
     """Split the induced group into independent per-part factors.
 
     Each part carries the restricted generator row; the projected group
-    operation is cross-checked against the factor operation on sampled
-    pairs before the report is returned.
+    operation is cross-checked against the factor operation on 64 sampled
+    pairs (seed 0) before the report is returned.
     """
-    _require_valid(m, tol)
-    return _factorize(m.entries, tol, n_check, seed)
+    return _factorize(m.entries, recover_partition(m, tol))
 
 
-def _factorize(a: np.ndarray, tol: float, n_check: int = 64,
-               seed: int = 0) -> StructureReport:
-    # a has passed validate_sigma
-    spec = _partition(a, tol)
+def _factorize(a: np.ndarray, spec: PartitionSpec) -> StructureReport:
     basis = _kernel_elements(a)
     factors = tuple((tuple(i + 1 for i in part), tuple(float(spec.rho[j]) for j in part))
                     for part in spec.parts)
 
-    # z = x + S(x) y for all sampled pairs at once, S(x) = 1 + M x
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-0.4, 0.4, size=(n_check, a.shape[0]))
-    Y = rng.uniform(-0.4, 0.4, size=(n_check, a.shape[0]))
-    Z = X + (1.0 + X @ spec.sigma_matrix().T) * Y
+    # z = x + S(x) y for all sampled pairs at once, S(x) = 1 + M x.  Both sides
+    # differ only by rounding, which scales with the summands of S(x) - 1: at
+    # most 0.4 times a row sum of |M|, the largest part sum of |rho|.
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-0.4, 0.4, size=(64, a.shape[0]))
+    Y = rng.uniform(-0.4, 0.4, size=(64, a.shape[0]))
+    M = spec.sigma_matrix()
+    Z = X + (1.0 + X @ M.T) * Y
+    bound = 1e-10 * (1.0 + 0.4 * float(np.max(np.sum(np.abs(M), axis=1))))
     for part in spec.parts:
         idx = list(part)
         s_part = 1.0 + X[:, idx] @ spec.rho[idx]
         proj = X[:, idx] + s_part[:, None] * Y[:, idx]
-        if np.any(np.max(np.abs(Z[:, idx] - proj), axis=1) > 1e-10):
+        if np.any(np.max(np.abs(Z[:, idx] - proj), axis=1) > bound):
             raise ConstraintViolated("projected operation disagrees with the factor")
 
     return StructureReport(True, spec, tuple(basis), len(basis), factors)
 
 
 def analyse_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureReport:
-    """Non-raising wrapper: an invalid matrix yields a report with valid=False."""
-    if not validate_sigma(m, tol):
+    """Non-raising wrapper: a matrix that fails the row-coupling constraint,
+    or whose parts' rows disagree, yields a report with valid=False."""
+    spec = _partition(m.entries, tol) if validate_sigma(m, tol) else None
+    if spec is None:
         return StructureReport(False, None, (), m.dim - int(np.linalg.matrix_rank(m.entries)),
                                ())
-    return _factorize(m.entries, tol)
+    return _factorize(m.entries, spec)
 
-
-def grid_cinterval_solution(grid: Sequence[float], rho_values: Sequence[float],
-                            parts: Sequence[Sequence[int]]) -> LinearSolution:
-    """Partition solution on the sampled-interval algebra.
-
-    ``parts`` uses 0-based grid indices; all-singleton parts reduce to the
-    affine family with the sampled coefficient function.
-    """
-    alg = grid_interval(grid)
-    spec = PartitionSpec(tuple(tuple(p) for p in parts),
-                         np.asarray(rho_values, dtype=float))
-    if spec.dim != alg.dim:
-        raise ConstraintViolated("rho_values length must match the grid")
-    return PartitionSolution(spec, alg)

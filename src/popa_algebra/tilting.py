@@ -114,9 +114,8 @@ def guarantee_radius(sol: GsSolution) -> float:
 
 
 def tilt_solve_fixed_point(sol: GsSolution, v: Element,
-                           max_iter: int = MAX_ITER_DEFAULT,
-                           tol: float = RESIDUAL_TOL) -> TiltResult:
-    """Solve T(u) = v by u <- v - u H(u), H = (e^g - 1 - g)/g.
+                           max_iter: int = MAX_ITER_DEFAULT) -> TiltResult:
+    """Solve T(u) = v by u <- v - u H(u), H = (e^g - 1 - g)/g, to RESIDUAL_TOL.
 
     Convergence is guaranteed (contraction factor <= 1/2) for norm(v)
     inside the guarantee radius; outside it the solver still attempts and
@@ -127,7 +126,7 @@ def tilt_solve_fixed_point(sol: GsSolution, v: Element,
     guaranteed = v.norm() < guarantee_radius(sol)
     u = v
     residual = (v - tilt_T(sol, u)).norm()
-    if residual < tol:
+    if residual < RESIDUAL_TOL:
         return TiltResult(u, 0, residual, guaranteed)
     prev_step = None
     ratios = []
@@ -144,7 +143,7 @@ def tilt_solve_fixed_point(sol: GsSolution, v: Element,
         prev_step = step
         u = u_next
         residual = (v - tilt_T(sol, u)).norm()
-        if residual < tol:
+        if residual < RESIDUAL_TOL:
             return TiltResult(u, it, residual, guaranteed, tuple(ratios))
         growth_streak = growth_streak + 1 if residual > prev_residual else 0
         prev_residual = residual
@@ -171,8 +170,7 @@ class UnboundednessVerdict:
                 else self.limit_point.to_json()}
 
 
-def unboundedness_direction(sol: GsSolution, u: Element, s_max: float = 40.0,
-                            tol: float = 1e-9) -> UnboundednessVerdict:
+def unboundedness_direction(sol: GsSolution, u: Element) -> UnboundednessVerdict:
     """Which of the two rays s -> T(+-su) is unbounded.
 
     Growth is measured only on the spectral coordinates where the
@@ -182,9 +180,9 @@ def unboundedness_direction(sol: GsSolution, u: Element, s_max: float = 40.0,
     kernel coordinates); verdicts with mixed growth report no limit.
     """
     gu = gamma(sol, u)
-    points = gu.spectrum().points
+    points = gu.spectrum()
     res = points[np.abs(points) > KERNEL_EPS].real
-    if res.size == 0 or np.all(np.abs(res) < tol):
+    if res.size == 0 or np.all(np.abs(res) < 1e-9):
         # empty or purely rotational spectrum: norm(e^{g}) = 1, no growth
         return UnboundednessVerdict(Direction.UNIT_NORM, None)
 
@@ -200,9 +198,8 @@ def unboundedness_direction(sol: GsSolution, u: Element, s_max: float = 40.0,
 
     # sampled confirmation on the active coordinates, plus the bounded limit
     sign = 1.0 if plus_grows else -1.0
-    s_probe = min(s_max, 40.0)
-    t_far = tilt_path(sol, u, sign * s_probe)
-    t_near = tilt_path(sol, u, sign * s_probe / 2.0)
+    t_far = tilt_path(sol, u, sign * 40.0)
+    t_near = tilt_path(sol, u, sign * 20.0)
     if _active_norm(t_far, gu) < _active_norm(t_near, gu):
         raise PopaAlgebraError("sampled growth contradicts the spectral verdict")
     return UnboundednessVerdict(direction, _bounded_limit(u, gu))

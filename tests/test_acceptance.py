@@ -12,12 +12,12 @@ from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           DegenerateExpSolution, DegenerateForm,
                           IdempotentSolution, InvalidTriple, LinearCandidate,
                           PartitionSolution, PartitionSpec, SigmaMatrix,
-                          WjTriple, adjustor, count_roots_negative_strip,
-                          dichotomy_check, eval_solution, gamma, hadamard,
-                          kernel_subspace, lambda_scale, radiality_check,
-                          ratio_limit_check, rho_of, st_roots, tilt_T,
-                          tilt_inverse, tilt_solve_fixed_point, validate_sigma,
-                          verify_gs, wj_build_S, wj_extract, wj_verify,
+                          WjSolutionOracle, WjTriple, adjustor,
+                          count_roots_negative_strip, dichotomy_check, gamma,
+                          hadamard, kernel_subspace, lambda_scale,
+                          radiality_check, ratio_limit_check, rho_of, st_roots,
+                          tilt_T, tilt_inverse, tilt_solve_fixed_point,
+                          validate_sigma, verify_gs, wj_extract, wj_verify,
                           xi_root)
 from popa_algebra.tilting import guarantee_radius
 from conftest import perturbed_sigma, random_partition_spec
@@ -162,7 +162,7 @@ def test_criterion_3_worked_example_oracles():
             el = sol.algebra.element(x)
             t = float(rng.uniform(0.0, 3.0))
             diffs = [
-                np.max(np.abs(eval_solution(sol, el).coords - S(x))),
+                np.max(np.abs(sol.eval(el).coords - S(x))),
                 np.max(np.abs(adjustor(sol, el).coords - N(x))),
                 np.max(np.abs(gamma(sol, el).coords - g(x))),
                 np.max(np.abs(lambda_scale(sol, el, t).coords - lam(x, t))),
@@ -280,7 +280,7 @@ def test_criterion_9_dichotomy():
         spec = random_partition_spec(rng, int(rng.integers(2, 6)))
         sol = PartitionSolution(spec)
         a = sol.algebra.element(rng.uniform(-1.5, 1.5, sol.algebra.dim))
-        w = sol.algebra.unit() - eval_solution(sol, a)
+        w = sol.algebra.unit() - sol.eval(a)
         if not w.is_invertible(1e-6):
             continue
         res = dichotomy_check(sol, a)
@@ -301,11 +301,11 @@ def test_criterion_10_wj_round_trip():
                           A3),
     ]
     for sol in sols:
-        lams = [eval_solution(sol, sol.algebra.element(
+        lams = [sol.eval(sol.algebra.element(
             rng.uniform(-0.25, 0.25, sol.algebra.dim))) for _ in range(5)]
         triple = wj_extract(sol, lams)
         assert wj_verify(triple)
-        oracle = wj_build_S(triple)
+        oracle = WjSolutionOracle(triple)
         k = triple.kernel_matrix
         per_sol = 1000 // len(sols) + 1
         covered = oracle.covered_values()
@@ -314,7 +314,7 @@ def test_criterion_10_wj_round_trip():
             x = triple.section(lam)
             if k.shape[0]:
                 x = x + sol.algebra.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
-            diff = (oracle.eval(x) - eval_solution(sol, x)).norm()
+            diff = (oracle.eval(x) - sol.eval(x)).norm()
             worst = max(worst, diff)
             points += 1
     assert points >= 1000
@@ -322,14 +322,14 @@ def test_criterion_10_wj_round_trip():
 
     # corrupted section: shift one value's preimage off the kernel
     base = sols[1]
-    lams = [eval_solution(base, base.algebra.element([0.2, 0.1])),
-            eval_solution(base, base.algebra.element([-0.1, 0.15]))]
+    lams = [base.eval(base.algebra.element([0.2, 0.1])),
+            base.eval(base.algebra.element([-0.1, 0.15]))]
     good = wj_extract(base, lams)
     fake = WjTriple(good.kernel_basis, good.lambda_samples,
                     lambda lam: good.section(lam) + ((lam - base.algebra.unit()).norm() > 1e-12) * base.algebra.element([0.3, 0.3]))
     assert not wj_verify(fake)
     with pytest.raises(InvalidTriple):
-        wj_build_S(fake)
+        WjSolutionOracle(fake)
     _ok(10, f"{points} covered points reproduced mod kernel "
             f"(max diff {worst:.2e}); corrupted section rejected")
 
@@ -344,7 +344,7 @@ def test_criterion_11_kernel_characterization():
         for v in kernel_subspace(m):
             nv = adjustor(sol, v)
             for t in np.linspace(-2.0, 2.0, 9):
-                worst = max(worst, (eval_solution(sol, t * v)
+                worst = max(worst, (sol.eval(t * v)
                                     - sol.algebra.unit()).norm())
                 worst = max(worst, (adjustor(sol, t * v) - t * nv).norm())
     assert worst < 1e-9

@@ -54,6 +54,22 @@ def test_classify_invalid_matrix_exits_one(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+def test_classify_large_entries_is_valid(tmp_path, capsys):
+    path = _write(tmp_path, "sigma.json", {"sigma": [[1e8, 1e8], [1e8, 1e8]]})
+    code, out = _run(["classify", "--input", path], capsys)
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["valid"] is True
+
+
+def test_classify_part_with_drifting_rows_exits_one(tmp_path, capsys):
+    # test_structure.CHAIN: at tol 1e-3 rows 0-1 and 1-2 agree, rows 0 and 2 do not
+    chain = [[-0.0016, 0.5, 0.0], [-0.0008, 0.5, 0.0008], [0.0, 0.5, 0.0016]]
+    path = _write(tmp_path, "sigma.json", {"sigma": chain})
+    code, out = _run(["classify", "--input", path, "--tol", "1e-3"], capsys)
+    assert code == 1
+    assert json.loads(out, parse_constant=_reject_constant)["valid"] is False
+
+
 def test_classify_solution_variant(tmp_path, capsys):
     path = _write(tmp_path, "sol.json", PARTITION)
     code, out = _run(["classify", "--input", path], capsys)

@@ -21,6 +21,7 @@ from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           verify_gs)
 from popa_algebra import _kernels
 from popa_algebra.errors import NotDifferentiable
+from conftest import random_partition_spec
 
 E = math.e
 A1, A2, A3 = hadamard(1), hadamard(2), hadamard(3)
@@ -136,8 +137,9 @@ def test_pure_power_domain():
     sol = DegenerateExpSolution(DegenerateForm.PURE_POWER, axis=0, gamma_exp=2.0)
     got = sol.eval(A2.element([2.0, 7.0])).coords
     assert np.allclose(got, [2.0, 4.0])
-    with pytest.raises(NotInGroup):
-        sol.eval(A2.element([-1.0, 0.0]))
+    for base in (-1.0, 0.0, 5e-10, 1e-9):   # eval_block's domain: base > 1e-9
+        with pytest.raises(NotInGroup):
+            sol.eval(A2.element([base, 0.1]))
     with pytest.raises(NotDifferentiable):
         sol.gamma_matrix()
 
@@ -368,18 +370,22 @@ def _summand_scale(sol, x, value):
     return np.abs(value)
 
 
-# the grid k / 64 keeps each power base either <= 0 or at least 1/160, off
-# the band (0, 1e-9] where eval (base <= 0) and eval_block (base <= 1e-9)
-# part; k = 0 is the pure power form's edge, -91 and -92 straddle the
-# affine one's (1 + 0.7 x = 0)
+# coordinates on the grid k / 64, plus power bases at and around the domain
+# edge: 0, 5e-10 and 1e-9 for the pure power form, -91/64 and -92/64
+# straddle the affine one's (1 + 0.7 x = 0), and -(1 - 5e-10)/0.7 puts its
+# base at 5e-10, inside the band (0, 1e-9] that both paths reject
+EDGES = [0.0, 5e-10, 1e-9, -91 / 64, -92 / 64, -(1 - 5e-10) / 0.7]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sol=hst.sampled_from(variant_zoo() + [PURE_POWER]),
-       cols=hst.lists(hst.lists(hst.sampled_from([0, -91, -92]) | hst.integers(-256, 256),
+       cols=hst.lists(hst.lists(hst.sampled_from(EDGES)
+                                | hst.integers(-256, 256).map(lambda k: k / 64),
                                 min_size=3, max_size=3),
                       min_size=1, max_size=12))
 def test_eval_block_matches_eval_per_column(sol, cols):
     d = sol.algebra.dim
-    Xb = np.ascontiguousarray(np.array(cols, dtype=float)[:, :d].T / 64.0)
+    Xb = np.ascontiguousarray(np.array(cols, dtype=float)[:, :d].T)
     S, ok = sol.eval_block(Xb)
     ok = np.broadcast_to(ok, (Xb.shape[1],))
     assert S.shape == Xb.shape
@@ -392,6 +398,32 @@ def test_eval_block_matches_eval_per_column(sol, cols):
             continue
         assert ok[j]
         assert np.all(np.abs(S[:, j] - want) <= 1e-15 * _summand_scale(sol, x, want))
+
+
+def _law_family(kind, rng):
+    if kind == "partition":
+        return PartitionSolution(random_partition_spec(rng, int(rng.integers(1, 7))))
+    if kind == "canonical":
+        d = int(rng.integers(1, 7))
+        return CanonicalSolution(hadamard(d).element(rng.uniform(-2.0, 2.0, d)))
+    if kind == "canonical-complex":
+        return CanonicalSolution(complex_plane().element(rng.uniform(-2.0, 2.0, 2)))
+    return ComplexReImSolution(*rng.uniform(-2.0, 2.0, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2**32 - 1),
+       kind=hst.sampled_from(["partition", "canonical", "canonical-complex", "complex-reim"]))
+def test_composition_law_in_element_arithmetic(seed, kind):
+    # S(x + S(x) y) = S(x) S(y) through Element's own sum and product, not the kernel
+    rng = np.random.default_rng(seed)
+    sol = _law_family(kind, rng)
+    x, y = (sol.algebra.element(rng.uniform(-0.4, 0.4, sol.algebra.dim)) for _ in range(2))
+    sx, sy = sol.eval(x), sol.eval(y)
+    # rounding scales with the summands: 1, M x and M S(x) y on the left, S(x) S(y) right
+    g = sol.gamma_norm()
+    scale = 1.0 + g * (x.norm() + sx.norm() * y.norm()) + sx.norm() * sy.norm()
+    assert (sol.eval(x + sx * y) - sx * sy).norm() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +607,6 @@ def test_solution_from_json_rejects_non_finite_numbers(variant, field):
 
 def test_partition_gamma_matches_its_dense_matrix():
     # the O(d) part sums and the lazily built M describe one linear map
-    from conftest import random_partition_spec
     rng = np.random.default_rng(41)
     for d in (1, 2, 7, 33):
         spec = random_partition_spec(rng, d)

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from popa_algebra import (CanonicalSolution, InvalidTriple, NotInRange,
-                          NotOrthogonalIdempotents, PartitionSolution,
-                          PartitionSpec, WjTriple, complex_plane,
-                          count_roots_negative_strip, eval_solution, hadamard,
-                          idempotent_solution, st_roots, verify_gs, wj_build_S,
-                          wj_extract, wj_verify, xi_root)
+from popa_algebra import (CanonicalSolution, IdempotentSolution, InvalidTriple,
+                          NotInRange, NotOrthogonalIdempotents,
+                          PartitionSolution, PartitionSpec, WjSolutionOracle,
+                          WjTriple, complex_plane, count_roots_negative_strip,
+                          hadamard, st_roots, verify_gs, wj_extract, wj_verify,
+                          xi_root)
 from popa_algebra.special import st_residual
 
 A1, A2 = hadamard(1), hadamard(2)
@@ -139,12 +139,12 @@ def test_wj_verify_rejects_quadratic_section():
     assert w4 == 15.0 and (2.0 ** 2 - 1.0) * 3.0 == 9.0
     assert not wj_verify(triple)
     with pytest.raises(InvalidTriple):
-        wj_build_S(triple)
+        WjSolutionOracle(triple)
 
 
 def test_wj_oracle_reconstructs_affine_map():
     triple = _scalar_triple(lambda lam: A1.element([lam.coords[0] - 1.0]))
-    oracle = wj_build_S(triple)
+    oracle = WjSolutionOracle(triple)
     for lam in oracle.covered_values():
         x = triple.section(lam)
         assert abs(oracle.eval(x).coords[0] - (1.0 + x.coords[0])) < 1e-12
@@ -177,14 +177,14 @@ def test_wj_roundtrip_matches_solution_mod_kernel():
     sol = PartitionSolution(PartitionSpec(((0, 1),), np.array([1.0, 1.0])))
     lams = [sol.eval(A2.element(rng.uniform(-0.3, 0.3, 2))) for _ in range(4)]
     triple = wj_extract(sol, lams)
-    oracle = wj_build_S(triple)
+    oracle = WjSolutionOracle(triple)
     k = triple.kernel_matrix
     for lam in oracle.covered_values():
         base = triple.section(lam)
         for _ in range(5):
             shift = A2.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
             x = base + shift
-            assert (oracle.eval(x) - eval_solution(sol, x)).norm() < 1e-10
+            assert (oracle.eval(x) - sol.eval(x)).norm() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +193,14 @@ def test_wj_roundtrip_matches_solution_mod_kernel():
 
 def test_idempotent_spanning_basis_reproduces_affine_family():
     e1, e2 = A2.element([1, 0]), A2.element([0, 1])
-    sol = idempotent_solution(A2, [e1, e2], [1.0, 1.0])
+    sol = IdempotentSolution([e1, e2], [1.0, 1.0], A2)
     x = A2.element([0.3, -0.7])
     assert np.allclose(sol.eval(x).coords, (A2.unit() + x).coords)
     assert verify_gs(sol, 2000, seed=2).max_gs_residual < 1e-12
 
 
 def test_idempotent_partial_system():
-    sol = idempotent_solution(A2, [A2.element([1, 0])], [1.0, 0.0])
+    sol = IdempotentSolution([A2.element([1, 0])], [1.0, 0.0], A2)
     got = sol.eval(A2.element([0.4, 5.0]))
     assert np.allclose(got.coords, [1.4, 1.0])
     assert verify_gs(sol, 2000, seed=2).max_gs_residual < 1e-12
@@ -212,7 +212,7 @@ def test_idempotent_general_functional_matches_affine_form():
     rho = rng.uniform(-2, 2, 3)
     A3 = hadamard(3)
     idems = [A3.element(np.eye(3)[i]) for i in range(3)]
-    sol = idempotent_solution(A3, idems, rho)
+    sol = IdempotentSolution(idems, rho, A3)
     can = CanonicalSolution(A3.element(rho))
     for _ in range(20):
         x = A3.element(rng.uniform(-1, 1, 3))
@@ -221,15 +221,15 @@ def test_idempotent_general_functional_matches_affine_form():
 
 def test_idempotent_rejects_bad_inputs():
     with pytest.raises(NotOrthogonalIdempotents):
-        idempotent_solution(A2, [A2.element([1, 1]), A2.element([1, 0])],
-                            [1.0, 0.0])
+        IdempotentSolution([A2.element([1, 1]), A2.element([1, 0])],
+                           [1.0, 0.0], A2)
     with pytest.raises(NotOrthogonalIdempotents):
-        idempotent_solution(A2, [A2.element([2, 0])], [1.0, 0.0])
+        IdempotentSolution([A2.element([2, 0])], [1.0, 0.0], A2)
 
 
 def test_idempotent_on_complex_plane():
     C = complex_plane()
-    sol = idempotent_solution(C, [C.unit()], [1.0, 0.0])
+    sol = IdempotentSolution([C.unit()], [1.0, 0.0], C)
     z = C.element([0.3, 0.4])
     # nu(z) = sigma(z) * 1 with sigma = Re: the real-linear family a=1, b=0
     assert np.allclose(sol.eval(z).coords, [1.3, 0.0])

@@ -11,9 +11,9 @@ from popa_algebra import structure
 from popa_algebra import (ConstraintViolated, LinearCandidate,
                           PartitionSolution, PartitionSpec, SigmaMatrix,
                           TwoDClass, UnsupportedDimension, analyse_sigma,
-                          classify_2d, factorize, grid_cinterval_solution,
-                          hadamard, kernel_subspace, recover_partition,
-                          validate_sigma, verify_gs)
+                          classify_2d, factorize, grid_interval, hadamard,
+                          kernel_subspace, recover_partition, validate_sigma,
+                          verify_gs)
 from popa_algebra import CanonicalSolution, ComplexReImSolution
 from popa_algebra import DegenerateExpSolution, DegenerateForm
 from popa_algebra import IdempotentSolution
@@ -193,6 +193,19 @@ def test_analyse_sigma_invalid_report():
     rep = analyse_sigma(SigmaMatrix([[1, 2], [3, 4]]))
     assert not rep.valid
     assert rep.partition is None
+    rep = analyse_sigma(SigmaMatrix(CHAIN), 1e-3)   # valid, but its part's rows drift
+    assert not rep.valid
+    assert rep.partition is None
+
+
+@pytest.mark.parametrize("a", [np.full((2, 2), 1e8),
+                               np.tile(np.linspace(0.5e6, 1.5e6, 64), (64, 1))],
+                         ids=["2x2-1e8", "one-part-d64-1e6"])
+def test_factor_check_scales_with_rho(a):
+    # the cross-check's two sums differ by rounding that grows with |rho|
+    rep = analyse_sigma(SigmaMatrix(a))
+    assert rep.valid
+    assert rep.factors == factorize(SigmaMatrix(a)).factors
 
 
 def test_roundtrip_idempotence():
@@ -221,19 +234,17 @@ def test_soundness_small():
 
 
 def test_grid_solutions():
-    sol = grid_cinterval_solution([0.0, 0.5, 1.0], [1.0, 2.0, 3.0],
-                                  [(0,), (1,), (2,)])
+    alg = grid_interval([0.0, 0.5, 1.0])
+    sol = PartitionSolution(PartitionSpec(((0,), (1,), (2,)), [1.0, 2.0, 3.0]), alg)
     x = sol.algebra.element([1.0, 1.0, 1.0])
     assert np.allclose(sol.eval(x).coords, [2, 3, 4])
     assert sol.algebra.grid == (0.0, 0.5, 1.0)
 
-    co = grid_cinterval_solution([0.0, 0.5, 1.0], [1.0, 1.0, 1.0],
-                                 [(0, 1, 2)])
+    co = PartitionSolution(PartitionSpec(((0, 1, 2),), [1.0, 1.0, 1.0]), alg)
     got = co.eval(sol.algebra.element([1.0, 2.0, 3.0]))
     assert np.allclose(got.coords, [7, 7, 7])
 
-    mixed = grid_cinterval_solution([0.0, 0.5, 1.0], [1.0, 2.0, 3.0],
-                                    [(0, 1), (2,)])
+    mixed = PartitionSolution(PartitionSpec(((0, 1), (2,)), [1.0, 2.0, 3.0]), alg)
     rec = recover_partition(SigmaMatrix(mixed.gamma_matrix()))
     assert rec.parts == ((0, 1), (2,))
     assert np.allclose(rec.rho, [1, 2, 3])
@@ -257,9 +268,10 @@ def test_each_request_validates_once(monkeypatch, tmp_path, capsys):
         return real(m, tol)
 
     monkeypatch.setattr(structure, "validate_sigma", counting)
-    for a in ([[1, 2], [1, 2]], np.ones((5, 5)), [[1, 2], [3, 4]]):
+    for a, tol in (([[1, 2], [1, 2]], 1e-9), (np.ones((5, 5)), 1e-9),
+                   ([[1, 2], [3, 4]], 1e-9), (CHAIN, 1e-3)):
         calls.clear()
-        analyse_sigma(SigmaMatrix(a))
+        analyse_sigma(SigmaMatrix(a), tol)
         assert len(calls) == 1
     calls.clear()
     path = tmp_path / "sigma.json"
