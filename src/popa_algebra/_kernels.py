@@ -3,7 +3,10 @@
 Sampling 10^4+ point pairs per solution family dominates the runtime of
 the verification suite.  The kernel is plain numpy over one block of
 pairs; ``verify_gs`` streams the pairs through it in blocks of
-``block_rows(d)``, about ``BLOCK_COORDS`` coordinates each.  A block is
+``block_rows(d)``, about ``BLOCK_COORDS`` coordinates each, shared
+round-robin among one thread per available CPU (a single block starts no
+thread).  A call touches only its own block, so its results, and the
+report, do not depend on the number of threads.  A block is
 held coordinate-major, as ``(d, rows)`` arrays: every reduction over the
 d coordinates is then elementwise on length-``rows`` vectors.  The
 solution evaluates a block itself (``GsSolution.eval_block``) and the

@@ -253,6 +253,8 @@ class Element:
 
 
 def _non_finite(value) -> bool:
+    if value is None or isinstance(value, bool):   # numpy reads them as NaN, 0 or 1
+        return True
     if isinstance(value, float):
         return not math.isfinite(value)
     if isinstance(value, dict):
@@ -261,10 +263,11 @@ def _non_finite(value) -> bool:
 
 
 def _require_finite(data: dict, what: str) -> None:
-    """Reject NaN and infinities, which Python's JSON parser accepts, by field."""
+    """Reject NaN, infinities, bools and nulls (Python's JSON parser takes them) by field."""
     for name, value in dict(data).items():   # TypeError or ValueError if no mapping
         if _non_finite(value):
-            raise ConstraintViolated(f"{what} field '{name}' must be finite")
+            raise ConstraintViolated(f"{what} field '{name}' holds NaN, an infinity, "
+                                     f"a bool or null")
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,8 @@ def _load_point(data, sol, name: str, where: str) -> Element:
         raw = {"algebra": sol.algebra.to_json(), "coords": raw}
     try:
         return Element.from_json(raw)
+    except KeyError as exc:
+        raise _InputError(f"bad element '{name}' in {where}: missing field {exc}")
     except (PopaAlgebraError, TypeError, ValueError) as exc:
         raise _InputError(f"bad element '{name}' in {where}: {exc}")
 
@@ -99,7 +101,7 @@ def _cmd_classify(args) -> int:
     if "sigma" in data:
         try:
             m = SigmaMatrix.from_json(data)
-        except (PopaAlgebraError, ValueError) as exc:
+        except (PopaAlgebraError, TypeError, ValueError) as exc:
             raise _InputError(f"bad sigma matrix in {args.input}: {exc}")
         analysis = analyse_sigma(m, args.tol)
         report = analysis.to_json()
@@ -184,6 +186,8 @@ def _cmd_wj(args) -> int:
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
     raw_samples = _field(data, "lambda_samples", args.input)
+    if not isinstance(raw_samples, list) or not raw_samples:
+        raise _InputError(f"field 'lambda_samples' in {args.input} must be a non-empty list")
     lams = [_load_point({"lambda_samples": s}, sol, "lambda_samples", args.input)
             for s in raw_samples]
     triple = wj_extract(sol, lams, tol=args.tol)

@@ -11,6 +11,8 @@ identities live here as free functions.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -52,9 +54,13 @@ class PartitionSpec:
 
     def __post_init__(self):
         parts = tuple(tuple(sorted(int(i) for i in p)) for p in self.parts)
+        if not all(parts):
+            raise ConstraintViolated("a part must not be empty")
         parts = tuple(sorted(parts, key=lambda p: p[0]))
         rho = np.array(self.rho, dtype=float, copy=True)
         rho.flags.writeable = False
+        if rho.ndim != 1:
+            raise DimensionMismatch("rho must be a vector")
         d = rho.shape[0]
         seen = [i for p in parts for i in p]
         if sorted(seen) != list(range(d)):
@@ -333,6 +339,8 @@ class DegenerateExpSolution(GsSolution):
         self.gamma_exp = float(gamma_exp)
         self.algebra = algebra
         d = algebra.dim
+        if not 0 <= self.axis < d:
+            raise DimensionMismatch(f"axis must lie in 0..{d - 1}")
         if form is DegenerateForm.ONE_EXP:
             if weights is None:
                 if d != 2:
@@ -347,15 +355,16 @@ class DegenerateExpSolution(GsSolution):
             w = np.asarray(weights, dtype=float)
             if w.shape != (d,):
                 raise DimensionMismatch("weights length must equal dim")
+            exp_index = int(exp_index)
+            if not 0 <= exp_index < d:
+                raise DimensionMismatch(f"exp_index must lie in 0..{d - 1}")
             if abs(w[exp_index]) != 0.0:
                 raise ConstraintViolated("weights must vanish at the exponential component")
             self.weights = w
-            self.exp_index = int(exp_index)
+            self.exp_index = exp_index
         else:
             if d != 2:
                 raise DimensionMismatch("power forms are two-dimensional")
-            if self.axis not in (0, 1):
-                raise DimensionMismatch("axis must be 0 or 1")
             self.weights = np.zeros(d)
             self.exp_index = 1 - self.axis
 
@@ -430,6 +439,8 @@ def solution_from_json(data: dict) -> GsSolution:
     if variant == "ComplexReIm":
         return ComplexReImSolution(data["a"], data["b"])
     if variant == "IdempotentBuilt":
+        if not isinstance(data["idempotents"], list):
+            raise TypeError("'idempotents' (not a list)")
         idems = [algebra.element(c) for c in data["idempotents"]]
         return IdempotentSolution(idems, data["sigma"], algebra)
     if variant == "LinearCandidate":
@@ -489,6 +500,13 @@ def sample_box(algebra: AlgebraDescriptor, n: int, radius: float,
     return rng.uniform(-radius, radius, size=(n, algebra.dim))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
               box_radius: float = 0.4) -> GoldieResidualReport:
     """Sample pairs in a box around 0 and measure both identity residuals.
@@ -499,8 +517,11 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
 
     The samples are those of ``X = sample_box(...)`` then ``Y =
     sample_box(...)`` on one ``default_rng(seed)``, drawn one kernel block
-    at a time: each double takes one PCG64 step, so ``advance`` starts the
-    Y stream, and the worst pair's rows, at their place in that stream.
+    at a time: each double takes one PCG64 step, so ``advance`` starts any
+    block's X and Y, and the worst pair's rows, at their place in that
+    stream.  Blocks are dealt round-robin to the caller and a thread per
+    further available CPU (a single block starts none); the report does not
+    depend on the worker count, and the earliest failing block's error is raised.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -510,7 +531,6 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
     def draws(skip: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(seq).advance(skip))
 
-    rng_x, rng_y = draws(0), draws(n_samples * alg.dim)
     rho = rho_of(sol).coords
     if isinstance(sol, LinearSolution):
         # S(unit) - unit by the block's own product, not by part sums
@@ -520,13 +540,30 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
     goldie = np.empty(n_samples)
     valid = np.empty(n_samples, dtype=bool)
     rows = _kernels.block_rows(alg.dim)
-    for lo in range(0, n_samples, rows):
-        m = min(rows, n_samples - lo)
-        X = sample_box(alg, m, box_radius, rng_x)
-        Y = sample_box(alg, m, box_radius, rng_y)
-        blk = slice(lo, lo + m)
-        gs[blk], goldie[blk], valid[blk] = _kernels.residuals(
-            sol, rho, X, Y, GROUP_REJECT_EPS)
+    starts = range(0, n_samples, rows)
+    n_workers = min(len(starts), _cpu_count())
+    failed = []
+
+    def work(first: int) -> None:
+        try:
+            for lo in starts[first::n_workers]:
+                m = min(rows, n_samples - lo)
+                X = sample_box(alg, m, box_radius, draws(lo * alg.dim))
+                Y = sample_box(alg, m, box_radius, draws((n_samples + lo) * alg.dim))
+                blk = slice(lo, lo + m)
+                gs[blk], goldie[blk], valid[blk] = _kernels.residuals(
+                    sol, rho, X, Y, GROUP_REJECT_EPS)
+        except Exception as exc:
+            failed.append((lo, exc))
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     n_valid = int(valid.sum())
     if n_valid < max(1, math.ceil(0.01 * n_samples)):
         raise DomainExhausted(f"{n_samples - n_valid} of {n_samples} samples rejected")

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .algebra import Element, hadamard
+from .algebra import Element, _require_finite, hadamard
 from .errors import ConstraintViolated, UnsupportedDimension
 from .solutions import GsSolution, PartitionSpec
 
@@ -46,6 +46,7 @@ class SigmaMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "SigmaMatrix":
+        _require_finite(data, "input")
         return cls(np.asarray(data["sigma"], dtype=float))
 
 

@@ -24,6 +24,9 @@ from .solutions import GsSolution, adjustor, gamma
 RESIDUAL_TOL = 1e-12
 MAX_ITER_DEFAULT = 200
 
+#: inside guarantee_radius each solver step is at most this times the last
+CONTRACTION_BOUND = 0.5
+
 #: spectral points below this are treated as lying in the kernel
 KERNEL_EPS = 1e-12
 
@@ -93,7 +96,9 @@ class TiltResult:
 
     def to_json(self) -> dict:
         return {"u": self.u.to_json(), "iterations": self.iterations,
-                "final_residual": self.final_residual, "guaranteed": self.guaranteed}
+                "final_residual": self.final_residual, "guaranteed": self.guaranteed,
+                "max_contraction_ratio": max(self.contraction_ratios, default=None),
+                "contraction_bound": CONTRACTION_BOUND}
 
 
 def contraction_radius(sol: GsSolution) -> float:

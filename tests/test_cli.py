@@ -1,13 +1,18 @@
 """End-to-end CLI behaviour: exit codes, determinism, JSON shapes."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 import popa_algebra
 from popa_algebra.cli import main
@@ -241,7 +246,9 @@ def test_tilt_and_inverse(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["final_residual"] < 1e-12
-    assert set(rep) == {"u", "iterations", "final_residual", "guaranteed"}
+    assert set(rep) == {"u", "iterations", "final_residual", "guaranteed",
+                        "max_contraction_ratio", "contraction_bound"}
+    assert rep["contraction_bound"] == 0.5
 
 
 def test_solve_st(tmp_path, capsys):
@@ -320,3 +327,106 @@ def test_output_file_written(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out_path.read_text(encoding="utf-8"))
     assert rep["partition"] == [[1], [2]]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input: one field of a valid input gets a value of the wrong type or
+# shape, and the command must refuse it as an input error
+# ---------------------------------------------------------------------------
+
+HAD2 = {"kind": "HadamardRd", "dim": 2}
+CPLX = {"kind": "ComplexAsR2", "dim": 2}
+AFFINE_POWER = {"variant": "DegenerateExp", "form": "Affine_Power", "axis": 1,
+                "rho": 0.7, "gamma_exp": 1.8, "algebra": HAD2}
+COMPLEX_CANONICAL = {"variant": "Canonical", "rho": [0.5, 0.7], "algebra": CPLX}
+
+#: (verb, a valid input)
+FUZZ_BASES = [
+    *(("verify", sol) for sol in (
+        CANONICAL, PARTITION, ONE_EXP, AFFINE_POWER, COMPLEX_CANONICAL,
+        {"variant": "ComplexReIm", "a": 0.4, "b": 1.5, "algebra": CPLX},
+        {"variant": "IdempotentBuilt", "idempotents": [[1.0, 0.0], [0.0, 1.0]],
+         "sigma": [1.0, 1.0], "algebra": HAD2},
+        {"variant": "LinearCandidate", "matrix": [[0.6, -1.1], [0.6, -1.1]],
+         "algebra": HAD2},
+        {"solution": PARTITION},
+        # One_Exp as verify writes it back, weights and exp_index included
+        {"variant": "DegenerateExp", "form": "One_Exp", "axis": 0, "exp_index": 1,
+         "gamma_exp": 1.3, "rho": 0.0, "weights": [1.3, 0.0], "algebra": HAD2})),
+    ("tilt", {"solution": CANONICAL, "u": [0.1, 0.2]}),
+    ("invert-tilt", {"solution": CANONICAL, "v": [0.1, 0.2]}),
+    ("tilt", {"solution": PARTITION, "u": {"coords": [0.1, 0.2], "algebra": HAD2}}),
+    ("solve-tilt", {"solution": PARTITION, "v": [0.01, 0.02]}),
+    ("solve-tilt", {"solution": COMPLEX_CANONICAL,
+                    "v": {"coords": [0.01, 0.02], "algebra": CPLX}}),
+    ("classify", {"sigma": [[1.0, 2.0], [1.0, 2.0]]}),
+    ("classify", PARTITION),
+    ("classify", ONE_EXP),
+    ("wj", {"solution": PARTITION, "lambda_samples": [[0.5, 0.5], [2.0, 2.0]]}),
+]
+
+#: list fields of no fixed length: any number of idempotents or samples is valid
+FREE_LENGTH = {"idempotents", "lambda_samples"}
+
+
+@hst.composite
+def _field(draw, obj):
+    """Path to an object member or list entry of obj, shallow ones more often."""
+    path = ()
+    while True:
+        key = draw(hst.sampled_from(list(obj) if isinstance(obj, dict)
+                                    else range(len(obj))))
+        path += (key,)
+        obj = obj[key]
+        if not isinstance(obj, (dict, list)) or not obj or draw(hst.booleans()):
+            return path
+
+
+def _wrong_values(old, free_length: bool):
+    """Values of another type or shape than old."""
+    values = [None, True, False, [[0.5, 1.0], [2.0]], [old], {}, {"x": 1.0},
+              math.nan, math.inf, -math.inf]
+    if not isinstance(old, str):
+        values.append("text")
+    if not isinstance(old, list):
+        values.append([old, old])
+    elif not free_length:
+        values += [old + old[:1], old[:-1]]
+    return values
+
+
+def _run_in_process(verb, data, tmp_dir):
+    path = tmp_dir / "in.json"
+    path.write_text(json.dumps(data), encoding="utf-8")   # NaN, Infinity tokens
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([verb, "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("verb, data", FUZZ_BASES,
+                         ids=[f"{verb}-{k}" for k, (verb, _) in enumerate(FUZZ_BASES)])
+def test_fuzz_bases_are_valid_input(verb, data, tmp_path):
+    code, out, _ = _run_in_process(verb, data, tmp_path)
+    assert code in (0, 1)
+    json.loads(out, parse_constant=_reject_constant)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(draw=hst.data())
+def test_fuzzed_field_exits_two_with_a_diagnostic(draw, tmp_path_factory):
+    verb, base = draw.draw(hst.sampled_from(FUZZ_BASES), label="input")
+    path = draw.draw(_field(base), label="field")
+    data = copy.deepcopy(base)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw.draw(hst.sampled_from(
+        _wrong_values(parent[path[-1]], path[-1] in FREE_LENGTH)), label="value")
+    code, out, err = _run_in_process(verb, data, tmp_path_factory.getbasetemp())
+    assert code == 2, out
+    assert err.startswith("input error: ") and "Traceback" not in err
+    if out:
+        json.loads(out, parse_constant=_reject_constant)

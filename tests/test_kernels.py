@@ -79,8 +79,12 @@ def test_block_boundaries_match_element_path(sol, monkeypatch):
     n = 2 * rows + 5
     calls = oracle.recording_kernel(monkeypatch)
     verify_gs(sol, n, seed=11, box_radius=0.4)
+    X1, Y1 = oracle.draws(n, d, 11, 0.4)
+    calls = oracle.in_stream_order(calls, X1)
     assert [len(c[0]) for c in calls] == [rows, rows, 5]
     X, Y, gs, goldie, valid = (np.concatenate(part) for part in zip(*calls))
+    assert X.tobytes() == X1.tobytes()
+    assert Y.tobytes() == Y1.tobytes()
     rho_el = rho_of(sol)
     unit = sol.algebra.unit()
     assert gs.shape == goldie.shape == valid.shape == (n,)

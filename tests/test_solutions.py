@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as hst
 import verify_oracle as oracle
 from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           ConstraintViolated, DegenerateExpSolution,
-                          DegenerateForm, DomainExhausted, IdempotentSolution,
+                          DegenerateForm, DimensionMismatch, DomainExhausted,
+                          IdempotentSolution,
                           LinearCandidate, LinearSolution, NotInGroup,
                           NotInvertible, NotOmegaHomogeneous,
                           PartitionSolution, PartitionSpec,
@@ -19,7 +22,7 @@ from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           gamma, gamma_fd, hadamard, popa_isomorphism_check,
                           grid_interval, rho_of, solution_from_json, tilt_inverse,
                           verify_gs)
-from popa_algebra import _kernels
+from popa_algebra import _kernels, solutions
 from popa_algebra.errors import NotDifferentiable
 from conftest import random_partition_spec
 
@@ -142,6 +145,20 @@ def test_pure_power_domain():
             sol.eval(A2.element([base, 0.1]))
     with pytest.raises(NotDifferentiable):
         sol.gamma_matrix()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"form": DegenerateForm.ONE_EXP, "axis": 2},
+    {"form": DegenerateForm.ONE_EXP, "axis": -1},
+    {"form": DegenerateForm.AFFINE_POWER, "axis": 2},
+    {"form": DegenerateForm.ONE_EXP, "weights": [1.0, 0.0], "exp_index": 2},
+    # a negative index used to pick the last component
+    {"form": DegenerateForm.ONE_EXP, "weights": [1.0, 0.0], "exp_index": -1},
+], ids=["one-exp-axis-2", "one-exp-axis-minus-1", "affine-axis-2",
+        "exp-index-2", "exp-index-minus-1"])
+def test_degenerate_indices_must_lie_in_the_dimension(kwargs):
+    with pytest.raises(DimensionMismatch):
+        DegenerateExpSolution(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +311,7 @@ def test_streamed_samples_equal_one_shot_draws(seed, d, size, radius):
         calls = oracle.recording_kernel(mp)
         rep = verify_gs(sol, n, seed=seed, box_radius=radius)
     X, Y = oracle.draws(n, d, seed, radius)
+    calls = oracle.in_stream_order(calls, X)
     assert all(len(c[0]) <= rows for c in calls)
     assert np.concatenate([c[0] for c in calls]).tobytes() == X.tobytes()
     assert np.concatenate([c[1] for c in calls]).tobytes() == Y.tobytes()
@@ -342,6 +360,75 @@ def test_reference_cases_reach_nan_and_a_later_block():
     rep = verify_gs(PURE_POWER, n, seed=4, box_radius=0.4)
     X, _ = oracle.draws(n, 2, 4, 0.4)
     assert np.flatnonzero((X == rep.worst_pair[0].coords).all(axis=1))[0] >= _kernels.block_rows(2)
+
+
+#: solutions whose reports must not depend on the number of verify workers
+WORKER_CASES = [(sol, 5, 0.4) for sol in variant_zoo()] + [
+    (PURE_POWER, 5, 0.4),
+    (one_exp_2d(1.3), 0, 1000.0),   # the worst pair is the first NaN
+]
+
+
+@pytest.fixture
+def threads_switch_often():
+    """Hand the interpreter lock over every microsecond while the test runs."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("sol, seed, radius", WORKER_CASES,
+                         ids=lambda v: getattr(v, "variant", None))
+def test_verify_gs_report_does_not_depend_on_worker_count(sol, seed, radius,
+                                                          monkeypatch,
+                                                          threads_switch_often):
+    # six blocks: with five workers the first one takes two
+    n = 5 * _kernels.block_rows(sol.algebra.dim) + 5
+    want = json.dumps(oracle.verify_gs(sol, n, seed=seed, box_radius=radius).to_json())
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr(solutions, "_cpu_count", lambda: workers)
+        got = json.dumps(verify_gs(sol, n, seed=seed, box_radius=radius).to_json())
+        assert got == want, workers
+
+
+def test_verify_gs_domain_exhausted_does_not_depend_on_worker_count(monkeypatch):
+    n = 5 * _kernels.block_rows(2) + 5
+    messages = set()
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr(solutions, "_cpu_count", lambda: workers)
+        with pytest.raises(DomainExhausted) as err:
+            verify_gs(PURE_POWER, n, seed=1, box_radius=1e-12)
+        messages.add(str(err.value))
+    assert messages == {f"{n} of {n} samples rejected"}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_verify_gs_reraises_a_worker_threads_kernel_error(workers, monkeypatch,
+                                                          threads_switch_often):
+    # blocks 1 and 2 fail; with two workers block 1 is a thread's, with
+    # three both are: the caller gets the error of the earlier block
+    rows = _kernels.block_rows(2)
+    n = 2 * rows + 5
+    X, _ = oracle.draws(n, 2, 3, 0.4)
+    place = {row.tobytes(): i for i, row in enumerate(X)}
+    real = _kernels.residuals
+    on_thread = []
+
+    def failing(sol, rho, Xb, Yb, inv_tol):
+        lo = place[Xb[0].tobytes()]
+        on_thread.append(threading.current_thread() is not threading.main_thread())
+        if lo > 0:
+            raise ArithmeticError(f"block at row {lo}")
+        return real(sol, rho, Xb, Yb, inv_tol)
+
+    monkeypatch.setattr(_kernels, "residuals", failing)
+    monkeypatch.setattr(solutions, "_cpu_count", lambda: workers)
+    baseline = threading.active_count()
+    with pytest.raises(ArithmeticError, match=f"^block at row {rows}$"):
+        verify_gs(PURE_POWER, n, seed=3, box_radius=0.4)
+    assert threading.active_count() == baseline
+    assert any(on_thread) == (workers > 1)
 
 
 def test_verify_gs_memory_does_not_grow_with_the_samples():

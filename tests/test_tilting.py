@@ -222,6 +222,24 @@ def test_solver_agrees_with_closed_form():
             assert max(res.contraction_ratios) <= 0.5 + 1e-9
 
 
+def test_solver_reports_its_contraction_against_the_bound():
+    # inside the guarantee radius the reported ratio is at most 1/2
+    sol = codependent(0.3, 0.4)
+    v = A2.element([0.6, -0.8])
+    v = (0.9 * guarantee_radius(sol) / v.norm()) * v
+    res = tilt_solve_fixed_point(sol, v)
+    assert res.guaranteed and len(res.contraction_ratios) >= 1
+    rep = res.to_json()
+    assert rep["contraction_bound"] == 0.5
+    assert rep["max_contraction_ratio"] == max(res.contraction_ratios)
+    assert 0.0 < rep["max_contraction_ratio"] <= 0.5
+    # with no step taken there is no ratio to report
+    zero = PartitionSolution(PartitionSpec(((0,), (1,)), np.array([0.0, 0.0])))
+    rep = tilt_solve_fixed_point(zero, v).to_json()
+    assert rep["max_contraction_ratio"] is None
+    assert rep["contraction_bound"] == 0.5
+
+
 def test_solver_flags_outside_guarantee():
     sol = codependent(1.0, 1.0)
     v = 10.0 * A2.unit()

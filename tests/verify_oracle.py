@@ -5,7 +5,9 @@ up front from one ``default_rng(seed)``, then fed to the kernel in
 ``block_rows(d)`` slices, the blocks ``verify_gs`` uses (BLAS products,
 and so the residual bits, depend on the width of a block).  The streamed
 ``verify_gs`` must return the same report, bit for bit.
-``recording_kernel`` keeps the blocks that ``verify_gs`` hands the kernel.
+``recording_kernel`` keeps the blocks that ``verify_gs`` hands the kernel,
+in the order the kernel was called; ``verify_gs`` shares its blocks among
+threads, so ``in_stream_order`` puts them back in the order of the samples.
 """
 
 import math
@@ -38,6 +40,12 @@ def recording_kernel(mp):
 
     mp.setattr(_kernels, "residuals", record)
     return calls
+
+
+def in_stream_order(calls, X):
+    """Recorded blocks sorted by the place of each block's first X row in X."""
+    place = {row.tobytes(): i for i, row in enumerate(X)}
+    return sorted(calls, key=lambda c: place[c[0][0].tobytes()])
 
 
 def verify_gs(sol, n_samples: int = 10000, seed: int = 0,
