@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConstraintViolated, DimensionMismatch, LogBranchViolation,
-                     NotInvertible)
+from . import _read
+from .errors import DimensionMismatch, LogBranchViolation, NotInvertible
 
 #: spectral points with modulus below this count as zero for invertibility
 INVERTIBILITY_EPS = 1e-12
@@ -108,12 +108,10 @@ class AlgebraDescriptor:
         return out
 
     @classmethod
-    def from_json(cls, data: dict) -> "AlgebraDescriptor":
-        if not isinstance(data, dict):
-            raise ConstraintViolated(f"algebra must be a JSON object, got {data!r}")
-        grid = data.get("grid")
-        return cls(AlgebraKind(data["kind"]), int(data["dim"]),
-                   tuple(grid) if grid is not None else None)
+    def from_json(cls, data: dict, where: str = "") -> "AlgebraDescriptor":
+        return cls(AlgebraKind(_read.get(data, "kind", where, _read.choice, tuple(AlgebraKind))),
+                   _read.get(data, "dim", where, _read.integer),
+                   _read.get(data, "grid", where, _read.vector, default=None))
 
 
 def hadamard(dim: int) -> AlgebraDescriptor:
@@ -243,31 +241,12 @@ class Element:
         return {"algebra": self.algebra.to_json(), "coords": list(map(float, self.coords))}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Element":
-        _require_finite(data, "element")
-        return cls(np.asarray(data["coords"], dtype=float),
-                   AlgebraDescriptor.from_json(data["algebra"]))
+    def from_json(cls, data: dict, where: str = "") -> "Element":
+        return cls(_read.get(data, "coords", where, _read.vector),
+                   _read.get(data, "algebra", where, AlgebraDescriptor.from_json))
 
     def __repr__(self):
         return f"Element({list(self.coords)!r}, {self.algebra.kind.value})"
-
-
-def _non_finite(value) -> bool:
-    if value is None or isinstance(value, bool):   # numpy reads them as NaN, 0 or 1
-        return True
-    if isinstance(value, float):
-        return not math.isfinite(value)
-    if isinstance(value, dict):
-        value = list(value.values())
-    return isinstance(value, (list, tuple)) and any(map(_non_finite, value))
-
-
-def _require_finite(data: dict, what: str) -> None:
-    """Reject NaN, infinities, bools and nulls (Python's JSON parser takes them) by field."""
-    for name, value in dict(data).items():   # TypeError or ValueError if no mapping
-        if _non_finite(value):
-            raise ConstraintViolated(f"{what} field '{name}' holds NaN, an infinity, "
-                                     f"a bool or null")
 
 
 # ---------------------------------------------------------------------------

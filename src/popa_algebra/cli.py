@@ -9,23 +9,20 @@ seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from pathlib import Path
 
+from . import _read
 from .algebra import Element
-from .errors import NoConvergence, PopaAlgebraError
+from .errors import ConstraintViolated, NoConvergence, PopaAlgebraError
 from .solutions import solution_from_json, verify_gs
 from .special import WjSolutionOracle, st_roots, wj_extract, xi_root
 from .structure import (SigmaMatrix, analyse_sigma, classify_2d,
                         classify_partition_2d)
 from .tilting import tilt_T, tilt_inverse, tilt_solve_fixed_point
-
-
-def _fail_input(msg: str) -> int:
-    print(f"input error: {msg}", file=sys.stderr)
-    return 2
 
 
 def _load_json(path: str):
@@ -34,7 +31,7 @@ def _load_json(path: str):
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}")
     try:
-        return json.loads(text)
+        return _read.obj(json.loads(text), "")
     except json.JSONDecodeError as exc:
         raise _InputError(f"malformed JSON in {path} at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}")
@@ -44,33 +41,24 @@ class _InputError(Exception):
     pass
 
 
-def _field(data: dict, name: str, where: str):
-    if not isinstance(data, dict) or name not in data:
-        raise _InputError(f"missing field '{name}' in {where}")
-    return data[name]
-
-
-def _load_solution(data: dict, where: str):
-    sol_data = _field(data, "solution", where) if "solution" in data else data
+def _load_solution(data: dict, path: str):
+    """The file's 'solution' object, or the file itself when it has none."""
     try:
-        return solution_from_json(sol_data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"bad solution object in {where}: missing or invalid "
-                          f"field {exc}")
+        if "solution" in data:
+            return solution_from_json(data["solution"], "'solution'")
+        return solution_from_json(data)
     except PopaAlgebraError as exc:
-        raise _InputError(f"bad solution object in {where}: {exc}")
+        raise _InputError(f"bad solution object in {path}: {exc}")
 
 
-def _load_point(data, sol, name: str, where: str) -> Element:
-    raw = _field(data, name, where)
-    if not isinstance(raw, dict):
-        raw = {"algebra": sol.algebra.to_json(), "coords": raw}
+def _load_point(raw, where: str, sol, path: str) -> Element:
+    """A point: coordinates in the solution's algebra, or an element object."""
     try:
-        return Element.from_json(raw)
-    except KeyError as exc:
-        raise _InputError(f"bad element '{name}' in {where}: missing field {exc}")
-    except (PopaAlgebraError, TypeError, ValueError) as exc:
-        raise _InputError(f"bad element '{name}' in {where}: {exc}")
+        if isinstance(raw, dict):
+            return Element.from_json(raw, where)
+        return sol.algebra.element(_read.vector(raw, where))
+    except PopaAlgebraError as exc:
+        raise _InputError(f"bad element {where} in {path}: {exc}")
 
 
 def _strict(obj):
@@ -99,10 +87,7 @@ def _emit(report, output: str | None) -> None:
 def _cmd_classify(args) -> int:
     data = _load_json(args.input)
     if "sigma" in data:
-        try:
-            m = SigmaMatrix.from_json(data)
-        except (PopaAlgebraError, TypeError, ValueError) as exc:
-            raise _InputError(f"bad sigma matrix in {args.input}: {exc}")
+        m = SigmaMatrix.from_json(data)
         analysis = analyse_sigma(m, args.tol)
         report = analysis.to_json()
         if analysis.valid and m.dim == 2:
@@ -131,7 +116,7 @@ def _cmd_verify(args) -> int:
 def _cmd_tilt(args) -> int:
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
-    u = _load_point(data, sol, "u", args.input)
+    u = _load_point(_read.get(data, "u", ""), "'u'", sol, args.input)
     tilt = tilt_T(sol, u)
     if not all(map(math.isfinite, tilt.coords)):
         raise _InputError(f"bad element 'u' in {args.input}: its tilt T(u) "
@@ -143,7 +128,7 @@ def _cmd_tilt(args) -> int:
 def _cmd_invert_tilt(args) -> int:
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
-    v = _load_point(data, sol, "v", args.input)
+    v = _load_point(_read.get(data, "v", ""), "'v'", sol, args.input)
     u = tilt_inverse(sol, v)
     residual = (tilt_T(sol, u) - v).norm()
     _emit({"v": v.to_json(), "u": u.to_json(), "residual": residual},
@@ -154,7 +139,7 @@ def _cmd_invert_tilt(args) -> int:
 def _cmd_solve_tilt(args) -> int:
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
-    v = _load_point(data, sol, "v", args.input)
+    v = _load_point(_read.get(data, "v", ""), "'v'", sol, args.input)
     try:
         result = tilt_solve_fixed_point(sol, v, max_iter=args.max_iter)
     except NoConvergence as exc:
@@ -185,11 +170,10 @@ def _cmd_xi(args) -> int:
 def _cmd_wj(args) -> int:
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
-    raw_samples = _field(data, "lambda_samples", args.input)
-    if not isinstance(raw_samples, list) or not raw_samples:
-        raise _InputError(f"field 'lambda_samples' in {args.input} must be a non-empty list")
-    lams = [_load_point({"lambda_samples": s}, sol, "lambda_samples", args.input)
-            for s in raw_samples]
+    samples = (_read.get(data, "lambda_samples", "", _read.array)
+               or _read.fail("'lambda_samples'", "a non-empty list", []))
+    lams = [_load_point(s, f"'lambda_samples'[{i}]", sol, args.input)
+            for i, s in enumerate(samples)]
     triple = wj_extract(sol, lams, tol=args.tol)
     oracle = WjSolutionOracle(triple, tol=max(args.tol, 1e-9))
     worst = 0.0
@@ -209,14 +193,13 @@ def _cmd_wj(args) -> int:
 
 def _cmd_report(args) -> int:
     data = _load_json(args.input)
-    params = _field(data, "params", args.input)
-    sol = _load_solution({"solution": _field(data, "solution", args.input)},
-                         args.input)
-    fresh = verify_gs(sol,
-                      n_samples=_param(params, "samples", _positive_int, args.input),
-                      seed=_param(params, "seed", _nonnegative_int, args.input),
-                      box_radius=_param(params, "box_radius", _finite_nonnegative, args.input))
-    recorded = _field(data, "results", args.input)
+    params = _read.get(data, "params", "", _read.obj)
+    _read.get(params, "tol", "'params'", _read.real, 0)   # not replayed, but must be valid
+    recorded = _read.get(data, "results", "")
+    fresh = verify_gs(_load_solution({"solution": _read.get(data, "solution", "")}, args.input),
+                      n_samples=_read.get(params, "samples", "'params'", _read.integer, 1),
+                      seed=_read.get(params, "seed", "'params'", _read.integer, 0),
+                      box_radius=_read.get(params, "box_radius", "'params'", _read.real, 0))
     results = _strict(fresh.to_json())
     match = json.dumps(results, sort_keys=True) == json.dumps(recorded, sort_keys=True)
     _emit({"match": match, "results": results}, args.output)
@@ -225,41 +208,17 @@ def _cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _int_at_least(text: str, low: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
-
-
-def _finite_nonnegative(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
-    return value
-
-
-def _param(params: dict, name: str, parse, where: str):
-    """A recorded verify parameter, under the check its command-line flag uses."""
-    value = _field(params, name, f"params of {where}")
-    try:
-        return parse(str(value))
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        raise _InputError(f"bad field '{name}' in params of {where}: {exc}")
+def _flag(read, lo):
+    """argparse type: a number in Python's literal syntax, read by the rule of its JSON field."""
+    def parse(text: str):
+        for number in (str, float, int):   # the last that parses, so "3" is an integer
+            with contextlib.suppress(ValueError):
+                value = number(text)
+        try:
+            return read(value, "", lo)
+        except ConstraintViolated as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         if "tol" in flags:
-            p.add_argument("--tol", type=_finite_nonnegative, default=1e-9)
+            p.add_argument("--tol", type=_flag(_read.real, 0), default=1e-9)
         if "seed" in flags:
-            p.add_argument("--seed", type=_nonnegative_int, default=0)
+            p.add_argument("--seed", type=_flag(_read.integer, 0), default=0)
         p.set_defaults(func=func)
         return p
 
@@ -285,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
          "input", "tol")
     p = verb("verify", _cmd_verify, "sampled residuals of the composition law",
              "input", "tol", "seed")
-    p.add_argument("--samples", type=_positive_int, default=10000)
-    p.add_argument("--box-radius", type=_finite_nonnegative, default=0.4)
+    p.add_argument("--samples", type=_flag(_read.integer, 1), default=10000)
+    p.add_argument("--box-radius", type=_flag(_read.real, 0), default=0.4)
     verb("tilt", _cmd_tilt, "apply the tilting map to a point", "input")
     verb("invert-tilt", _cmd_invert_tilt, "closed-form tilt inverse", "input", "tol")
     p = verb("solve-tilt", _cmd_solve_tilt, "fixed-point tilt solver", "input")
-    p.add_argument("--max-iter", type=_positive_int, default=200)
+    p.add_argument("--max-iter", type=_flag(_read.integer, 1), default=200)
     p = verb("solve-st", _cmd_solve_st, "roots of e^w = 1 + w, Re w > 0")
-    p.add_argument("--n-roots", type=_positive_int, default=10)
+    p.add_argument("--n-roots", type=_flag(_read.integer, 1), default=10)
     verb("xi", _cmd_xi, "the boundary root of e^{-x} = x - 1")
     verb("wj", _cmd_wj, "extract/verify/rebuild a solution triple", "input", "tol", "seed")
     verb("report", _cmd_report, "re-run a verify report and compare", "input")
@@ -303,10 +262,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        return _fail_input(str(exc))
-    except PopaAlgebraError as exc:
-        return _fail_input(f"{type(exc).__name__}: {exc}")
+    except (_InputError, PopaAlgebraError) as exc:
+        kind = "" if isinstance(exc, _InputError) else f"{type(exc).__name__}: "
+        print(f"input error: {kind}{exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ identities live here as free functions.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -19,9 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
-from .algebra import (AlgebraDescriptor, Element, _require_finite, complex_plane,
-                      hadamard)
+from . import _kernels, _read
+from .algebra import AlgebraDescriptor, Element, complex_plane, hadamard
 from .errors import (ConstraintViolated, DimensionMismatch, DomainExhausted,
                      NotDifferentiable, NotInGroup, NotInvertible,
                      NotOrthogonalIdempotents, UnitNotInGroup)
@@ -53,7 +53,7 @@ class PartitionSpec:
     rho: np.ndarray
 
     def __post_init__(self):
-        parts = tuple(tuple(sorted(int(i) for i in p)) for p in self.parts)
+        parts = tuple(tuple(sorted(map(operator.index, p))) for p in self.parts)
         if not all(parts):
             raise ConstraintViolated("a part must not be empty")
         parts = tuple(sorted(parts, key=lambda p: p[0]))
@@ -85,11 +85,6 @@ class PartitionSpec:
     def to_json(self) -> dict:
         return {"parts": [[i + 1 for i in p] for p in self.parts],
                 "rho": list(map(float, self.rho))}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PartitionSpec":
-        return cls(tuple(tuple(i - 1 for i in p) for p in data["parts"]),
-                   np.asarray(data["rho"], dtype=float))
 
 
 def _part_matrix(ids: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -271,12 +266,8 @@ def IdempotentSolution(idempotents: Sequence[Element], sigma: Sequence[float],
     _check_orthogonal_idempotents(idempotents)
     d = algebra.dim
     nu = np.zeros((d, d))
-    for j in range(d):
-        basis = algebra.element(np.eye(d)[j])
-        acc = algebra.zero()
-        for e in idempotents:
-            acc = acc + float(sigma @ (e * basis).coords) * e
-        nu[:, j] = acc.coords
+    for e in idempotents:   # column j is the sum over e of sigma(e b_j) e
+        nu += np.outer(e.coords, sigma @ algebra.mul(e.coords[:, None], np.eye(d)))
     return LinearSolution(nu, algebra, "IdempotentBuilt",
                           {"idempotents": [list(map(float, e.coords)) for e in idempotents],
                            "sigma": list(map(float, sigma))})
@@ -329,12 +320,11 @@ class DegenerateExpSolution(GsSolution):
                  algebra: Optional[AlgebraDescriptor] = None):
         form = DegenerateForm(form)
         if algebra is None:
-            dim = len(weights) if weights is not None else 2
-            algebra = hadamard(dim)
+            algebra = hadamard(2 if weights is None else len(weights))
         if not algebra.componentwise:
             raise DimensionMismatch("degenerate solutions need a componentwise algebra")
         self.form = form
-        self.axis = int(axis)
+        self.axis = operator.index(axis)
         self.rho_coeff = float(rho)
         self.gamma_exp = float(gamma_exp)
         self.algebra = algebra
@@ -342,20 +332,16 @@ class DegenerateExpSolution(GsSolution):
         if not 0 <= self.axis < d:
             raise DimensionMismatch(f"axis must lie in 0..{d - 1}")
         if form is DegenerateForm.ONE_EXP:
-            if weights is None:
+            if weights is None or exp_index is None:   # the dim-2 defaults
                 if d != 2:
-                    raise DimensionMismatch("weights required when dim != 2")
-                weights = np.zeros(2)
-                weights[self.axis] = self.gamma_exp
-                exp_index = 1 - self.axis
-            elif exp_index is None:
-                if d != 2:
-                    raise DimensionMismatch("exp_index required when dim != 2")
+                    raise DimensionMismatch("weights and exp_index required when dim != 2")
+                if weights is None:
+                    weights = np.where(np.arange(2) == self.axis, self.gamma_exp, 0.0)
                 exp_index = 1 - self.axis
             w = np.asarray(weights, dtype=float)
             if w.shape != (d,):
                 raise DimensionMismatch("weights length must equal dim")
-            exp_index = int(exp_index)
+            exp_index = operator.index(exp_index)
             if not 0 <= exp_index < d:
                 raise DimensionMismatch(f"exp_index must lie in 0..{d - 1}")
             if abs(w[exp_index]) != 0.0:
@@ -421,31 +407,42 @@ class DegenerateExpSolution(GsSolution):
         return out
 
 
-def solution_from_json(data: dict) -> GsSolution:
-    _require_finite(data, "solution")
-    algebra = AlgebraDescriptor.from_json(data["algebra"])
-    variant = data["variant"]
+def _parts(value, where: str) -> list:
+    return [[_read.integer(i, f"{where}[{k}][{j}]") - 1
+             for j, i in enumerate(_read.array(part, f"{where}[{k}]"))]
+            for k, part in enumerate(_read.array(value, where))]
+
+
+def solution_from_json(data: dict, where: str = "") -> GsSolution:
+    """A solution object at path ``where``, each field read once by its JSON type."""
+    def field(name, read, *args, **kw):
+        return _read.get(data, name, where, read, *args, **kw)
+
+    variant = field("variant", None)
+    algebra = field("algebra", AlgebraDescriptor.from_json)
     if variant == "Canonical":
-        return CanonicalSolution(algebra.element(data["rho"]))
+        return CanonicalSolution(algebra.element(field("rho", _read.vector)))
     if variant == "Partition":
-        spec = PartitionSpec.from_json(data)
-        return PartitionSolution(spec, algebra)
+        return PartitionSolution(PartitionSpec(field("parts", _parts),
+                                               field("rho", _read.vector)), algebra)
     if variant == "DegenerateExp":
         return DegenerateExpSolution(
-            DegenerateForm(data["form"]), axis=data.get("axis", 0),
-            rho=data.get("rho", 0.0), gamma_exp=data.get("gamma_exp", 1.0),
-            weights=data.get("weights"), exp_index=data.get("exp_index"),
-            algebra=algebra)
+            field("form", _read.choice, tuple(DegenerateForm)),
+            axis=field("axis", _read.integer, default=0),
+            rho=field("rho", _read.real, default=0.0),
+            gamma_exp=field("gamma_exp", _read.real, default=1.0),
+            weights=field("weights", _read.vector, default=None),
+            exp_index=field("exp_index", _read.integer, default=None), algebra=algebra)
     if variant == "ComplexReIm":
-        return ComplexReImSolution(data["a"], data["b"])
+        if algebra != complex_plane():
+            _read.fail(f"{where} 'algebra'".lstrip(), "the ComplexAsR2 algebra", data["algebra"])
+        return ComplexReImSolution(field("a", _read.real), field("b", _read.real))
     if variant == "IdempotentBuilt":
-        if not isinstance(data["idempotents"], list):
-            raise TypeError("'idempotents' (not a list)")
-        idems = [algebra.element(c) for c in data["idempotents"]]
-        return IdempotentSolution(idems, data["sigma"], algebra)
+        return IdempotentSolution([algebra.element(c) for c in field("idempotents", _read.matrix)],
+                                  field("sigma", _read.vector), algebra)
     if variant == "LinearCandidate":
-        return LinearCandidate(np.asarray(data["matrix"], dtype=float), algebra)
-    raise DimensionMismatch(f"unknown solution variant {variant!r}")
+        return LinearCandidate(field("matrix", _read.matrix), algebra)
+    _read.fail(f"{where} 'variant'".lstrip(), "a solution variant", variant)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .algebra import Element, _require_finite, hadamard
+from . import _read
+from .algebra import Element, hadamard
 from .errors import ConstraintViolated, UnsupportedDimension
 from .solutions import GsSolution, PartitionSpec
 
@@ -45,9 +46,8 @@ class SigmaMatrix:
         return {"sigma": [list(map(float, row)) for row in self.entries]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "SigmaMatrix":
-        _require_finite(data, "input")
-        return cls(np.asarray(data["sigma"], dtype=float))
+    def from_json(cls, data: dict, where: str = "") -> "SigmaMatrix":
+        return cls(_read.get(data, "sigma", where, _read.matrix))
 
 
 #: coordinates compared per block of row pairs: a block of P = max(1,

@@ -385,7 +385,11 @@ def _field(draw, obj):
 def _wrong_values(old, free_length: bool):
     """Values of another type or shape than old."""
     values = [None, True, False, [[0.5, 1.0], [2.0]], [old], {}, {"x": 1.0},
-              math.nan, math.inf, -math.inf]
+              math.nan, math.inf, -math.inf, 10**400]   # json.dumps: a bare integer literal
+    if type(old) in (int, float):
+        values.append(str(old))
+    if type(old) is int:
+        values.append(old + 0.5)
     if not isinstance(old, str):
         values.append("text")
     if not isinstance(old, list):
@@ -430,3 +434,103 @@ def test_fuzzed_field_exits_two_with_a_diagnostic(draw, tmp_path_factory):
     assert err.startswith("input error: ") and "Traceback" not in err
     if out:
         json.loads(out, parse_constant=_reject_constant)
+
+
+# ---------------------------------------------------------------------------
+# input holes: values a lenient reader would take as something else (a
+# truncated fraction, a numeric string, a huge integer literal, a non-object
+# file); each must be an input error naming the field
+# ---------------------------------------------------------------------------
+
+HUGE = 10**400   # json.dumps writes a bare 401-digit integer literal
+ONE_EXP_BY_INDEX = {"variant": "DegenerateExp", "form": "One_Exp", "axis": 1,
+                    "weights": [0.0, 1.3], "algebra": HAD2}
+
+#: (verb, input, what the diagnostic names)
+INPUT_HOLES = {
+    "dim-and-axis-fraction": ("verify", dict(ONE_EXP, axis=0.9,
+                                             algebra={"kind": "HadamardRd", "dim": 2.7}),
+                              "'dim'"),
+    "axis-fraction": ("verify", dict(ONE_EXP, axis=0.9), "'axis'"),
+    "parts-fraction": ("verify", dict(PARTITION, parts=[[1.5, 2]]), "'parts'"),
+    "exp-index-fraction": ("verify", dict(ONE_EXP_BY_INDEX, exp_index=0.2), "'exp_index'"),
+    "point-dim-fraction": ("tilt", {"solution": CANONICAL, "u": {
+        "coords": [0.1, 0.2], "algebra": {"kind": "HadamardRd", "dim": 2.5}}}, "'dim'"),
+    "dim-text": ("verify", dict(CANONICAL, algebra={"kind": "HadamardRd", "dim": "2"}),
+                 "'dim'"),
+    "rho-text": ("verify", dict(CANONICAL, rho=["0.3", 1.0]), "'rho'"),
+    "sigma-text": ("classify", {"sigma": [["1", 2], [1, 2]]}, "'sigma'"),
+    "grid-text": ("verify", dict(PARTITION, algebra={"kind": "GridCInterval", "dim": 2,
+                                                     "grid": ["0.25", "0.75"]}), "'grid'"),
+    "idempotent-sigma-text": ("verify", {"variant": "IdempotentBuilt",
+                                         "idempotents": [[1.0, 0.0]], "sigma": ["1.0", 1.0],
+                                         "algebra": HAD2}, "'sigma'"),
+    "lambda-samples-text": ("wj", {"solution": PARTITION,
+                                   "lambda_samples": [["0.5", "0.5"], [2.0, 2.0]]},
+                            "'lambda_samples'"),
+    "report-samples-text": ("report", _report_with(samples="100000"), "'samples'"),
+    "report-seed-text": ("report", _report_with(seed="13"), "'seed'"),
+    "report-box-radius-text": ("report", _report_with(box_radius="0.4"), "'box_radius'"),
+    "complex-re-im-a-text": ("verify", {"variant": "ComplexReIm", "a": "1e400", "b": 1.5,
+                                        "algebra": CPLX}, "'a'"),
+    "complex-re-im-on-hadamard": ("verify", {"variant": "ComplexReIm", "a": 0.4, "b": 1.5,
+                                             "algebra": {"kind": "HadamardRd", "dim": 3}},
+                                  "'algebra'"),
+    **{f"report-tol-{name}": ("report", _report_with(tol=value), "'tol'")
+       for name, value in (("text", "1e-9"), ("null", None), ("list", [1e-9]),
+                           ("nan", math.nan))},
+    "rho-huge-integer": ("verify", dict(CANONICAL, rho=[HUGE, 1.0]), "'rho'"),
+    "sigma-huge-integer": ("classify", {"sigma": [[HUGE, 1], [1, 1]]}, "'sigma'"),
+    **{f"{verb}-top-level-{name}": (verb, value, "JSON object")
+       for verb in ("classify", "verify", "tilt", "wj")
+       for name, value in (("number", 5), ("null", None))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_HOLES))
+def test_input_hole_exits_two_naming_the_field(case, tmp_path):
+    verb, data, named = INPUT_HOLES[case]
+    code, out, err = _run_in_process(verb, data, tmp_path)
+    assert code == 2, (out, err)
+    assert out == ""
+    assert err.startswith("input error: ") and named in err, err
+
+
+# ---------------------------------------------------------------------------
+# malformed flag text: each verb's numeric flags take the rule of the JSON
+# field they stand for
+# ---------------------------------------------------------------------------
+
+#: (verb, its input or None, flag, whether the flag is real-valued)
+NUMERIC_FLAGS = [
+    ("classify", {"sigma": [[1.0, 2.0], [1.0, 2.0]]}, "tol", True),
+    *(("verify", CANONICAL, flag, real) for flag, real in (
+        ("tol", True), ("seed", False), ("samples", False), ("box-radius", True))),
+    ("invert-tilt", {"solution": CANONICAL, "v": [0.1, 0.2]}, "tol", True),
+    ("solve-tilt", {"solution": CANONICAL, "v": [0.01, 0.02]}, "max-iter", False),
+    ("solve-st", None, "n-roots", False),
+    ("wj", {"solution": PARTITION, "lambda_samples": [[0.5, 0.5]]}, "tol", True),
+    ("wj", {"solution": PARTITION, "lambda_samples": [[0.5, 0.5]]}, "seed", False),
+]
+
+MALFORMED_FLAG_TEXT = ["1.5", "nan", "inf", "-1", "1e999", "", "0x10", "true"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(flag=hst.sampled_from(NUMERIC_FLAGS), text=hst.sampled_from(MALFORMED_FLAG_TEXT))
+def test_malformed_flag_exits_two_naming_it(flag, text, tmp_path_factory):
+    verb, data, name, real = flag
+    if real and text == "1.5":   # a valid tolerance or radius
+        return
+    argv = [verb, f"--{name}={text}"]
+    if data is not None:
+        path = tmp_path_factory.mktemp("flag") / "in.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv += ["--input", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert out.getvalue() == ""
+    assert f"--{name}" in err.getvalue() and "Traceback" not in err.getvalue()

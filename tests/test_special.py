@@ -10,7 +10,7 @@ from popa_algebra import (CanonicalSolution, IdempotentSolution, InvalidTriple,
                           NotInRange, NotOrthogonalIdempotents,
                           PartitionSolution, PartitionSpec, WjSolutionOracle,
                           WjTriple, complex_plane, count_roots_negative_strip,
-                          hadamard, st_roots, verify_gs, wj_extract, wj_verify,
+                          grid_interval, hadamard, st_roots, verify_gs, wj_extract, wj_verify,
                           xi_root)
 from popa_algebra.special import st_residual
 
@@ -234,3 +234,39 @@ def test_idempotent_on_complex_plane():
     # nu(z) = sigma(z) * 1 with sigma = Re: the real-linear family a=1, b=0
     assert np.allclose(sol.eval(z).coords, [1.3, 0.0])
     assert verify_gs(sol, 2000, seed=2).max_gs_residual < 1e-12
+
+
+def _idempotent_nu_loop(algebra, idempotents, sigma):
+    """Oracle: the builder's original loop, one Element sum per basis vector b_j."""
+    d = algebra.dim
+    nu = np.zeros((d, d))
+    for j in range(d):
+        basis = algebra.element(np.eye(d)[j])
+        acc = algebra.zero()
+        for e in idempotents:
+            acc = acc + float(sigma @ (e * basis).coords) * e
+        nu[:, j] = acc.coords
+    return nu
+
+
+def _signed_zeros(rng, a):
+    """a with each zero entry given a random sign."""
+    return np.where(a == 0.0, np.where(rng.random(a.shape) < 0.5, -0.0, 0.0), a)
+
+
+def test_idempotent_matrix_matches_element_loop_bitwise():
+    for seed in range(90):
+        rng = np.random.default_rng(seed)
+        if seed % 3 == 2:   # the complex plane: its idempotents are 0 and 1
+            alg = complex_plane()
+            idems = [alg.element(_signed_zeros(rng, np.array(c)))
+                     for c in ([1.0, 0.0], [0.0, 0.0])[:int(rng.integers(3))]]
+        else:               # disjoint indicator vectors on part of the coordinates
+            d = int(rng.integers(1, 65))
+            alg = hadamard(d) if seed % 3 == 0 else grid_interval(np.linspace(0.0, 1.0, d))
+            labels = rng.integers(-1, int(rng.integers(0, 6)), d)
+            idems = [alg.element(_signed_zeros(rng, (labels == k).astype(float)))
+                     for k in range(labels.max() + 1)]
+        sigma = _signed_zeros(rng, rng.uniform(-2.0, 2.0, alg.dim) * (rng.random(alg.dim) < 0.8))
+        nu = IdempotentSolution(idems, sigma, alg).gamma_matrix()
+        assert nu.tobytes() == _idempotent_nu_loop(alg, idems, sigma).tobytes(), seed
