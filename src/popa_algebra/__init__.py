@@ -1,34 +1,58 @@
 """Solution families of the composition law S(x + S(x)y) = S(x)S(y) on
 concrete commutative unital algebras, with the induced group structure,
 structure/classification theory, exponential tilting, and a CLI.
+
+Each public name is imported from its module on first use (PEP 562), so
+that ``import popa_algebra`` loads no module, and numpy not before a name
+that needs it.
 """
 
-from .algebra import (AlgebraDescriptor, AlgebraKind, Element, complex_plane,
-                      grid_interval, hadamard)
-from .errors import (ConstraintViolated, DimensionMismatch, DomainExhausted,
-                     InvalidTriple, LogBranchViolation, NoConvergence,
-                     NotDifferentiable, NotInGroup, NotInRange, NotInvertible,
-                     NotOmegaHomogeneous, NotOrthogonalIdempotents,
-                     PopaAlgebraError, UnitNotInGroup, UnsupportedDimension)
-from .solutions import (CanonicalSolution, ComplexReImSolution,
-                        DegenerateExpSolution, DegenerateForm,
-                        GoldieResidualReport, GsSolution, IdempotentSolution,
-                        LinearCandidate, LinearSolution, PartitionSolution,
-                        PartitionSpec, adjustor,
-                        check_omega_homogeneity, circle_inv, circle_op,
-                        decomposition_check, dichotomy_check, gamma, gamma_fd,
-                        popa_isomorphism_check, rho_of, solution_from_json,
-                        verify_gs)
-from .special import (StSolution, WjSolutionOracle, WjTriple,
-                      count_roots_negative_strip, st_roots, wj_extract,
-                      wj_verify, xi_root)
-from .structure import (SigmaMatrix, StructureReport, TwoDClass,
-                        TwoDClassification, analyse_sigma, classify_2d,
-                        factorize, kernel_subspace, recover_partition,
-                        validate_sigma)
-from .tilting import (Direction, RatioLimitResult, TiltResult,
-                      UnboundednessVerdict, lambda_scale, radiality_check,
-                      ratio_limit_check, tilt_T, tilt_inverse, tilt_path,
-                      tilt_solve_fixed_point, unboundedness_direction)
+import importlib
 
+#: module -> the public names it exports here
+_EXPORTS = {
+    "algebra": ("AlgebraDescriptor", "AlgebraKind", "Element", "complex_plane",
+                "grid_interval", "hadamard"),
+    "errors": ("ConstraintViolated", "DimensionMismatch", "DomainExhausted",
+               "InvalidTriple", "LogBranchViolation", "NoConvergence",
+               "NotDifferentiable", "NotInGroup", "NotInRange", "NotInvertible",
+               "NotOmegaHomogeneous", "NotOrthogonalIdempotents",
+               "PopaAlgebraError", "UnitNotInGroup", "UnsupportedDimension"),
+    "solutions": ("CanonicalSolution", "ComplexReImSolution",
+                  "DegenerateExpSolution", "DegenerateForm",
+                  "GoldieResidualReport", "GsSolution", "IdempotentSolution",
+                  "LinearCandidate", "LinearSolution", "PartitionSolution",
+                  "PartitionSpec", "adjustor", "check_omega_homogeneity",
+                  "circle_inv", "circle_op", "decomposition_check",
+                  "dichotomy_check", "gamma", "gamma_fd", "popa_isomorphism_check",
+                  "rho_of", "solution_from_json", "verify_gs"),
+    "roots": ("StSolution", "count_roots_negative_strip", "st_roots", "xi_root"),
+    "special": ("WjSolutionOracle", "WjTriple", "wj_extract", "wj_verify"),
+    "structure": ("SigmaMatrix", "StructureReport", "TwoDClass",
+                  "TwoDClassification", "analyse_sigma", "classify_2d",
+                  "factorize", "kernel_subspace", "recover_partition",
+                  "validate_sigma"),
+    "tilting": ("Direction", "RatioLimitResult", "TiltResult",
+                "UnboundednessVerdict", "lambda_scale", "radiality_check",
+                "ratio_limit_check", "tilt_T", "tilt_inverse", "tilt_path",
+                "tilt_solve_fixed_point", "unboundedness_direction"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A public name or a submodule, imported now and kept in the globals."""
+    if name in _EXPORTS:   # importing a submodule binds it here
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__),
+                                      name)
+    return value
+
+
+def __dir__():
+    return __all__

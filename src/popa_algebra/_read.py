@@ -5,14 +5,13 @@ a real is finite, an integer a literal."""
 
 import contextlib
 import reprlib
+import sys
 from itertools import chain
-
-import numpy as np
 
 from .errors import ConstraintViolated
 
 _NUMBER = {int, float}   # type(True) is bool, so bools are not numbers
-_MAX = float(np.finfo(float).max)
+_MAX = sys.float_info.max
 
 
 def fail(where: str, what: str, value):
@@ -55,8 +54,9 @@ def integer(value, where: str, lo=None) -> int:
     fail(where, "an integer literal" + ("" if lo is None else f" at least {lo}"), value)
 
 
-def vector(value, where: str, flat=None, entry=real) -> np.ndarray:
+def vector(value, where: str, flat=None, entry=real) -> "np.ndarray":
     """A list of finite numbers as a float array: one type scan, no Python call per number."""
+    import numpy as np   # here, so that readers of scalars load no numpy
     values = array(value, where)
     if set(map(type, values if flat is None else flat)) <= _NUMBER:
         with contextlib.suppress(OverflowError):   # an integer literal beyond the float range
@@ -67,7 +67,7 @@ def vector(value, where: str, flat=None, entry=real) -> np.ndarray:
         entry(v, f"{where}[{i}]")
 
 
-def matrix(value, where: str) -> np.ndarray:
+def matrix(value, where: str) -> "np.ndarray":
     """Rows of one length ([] reads as shape (0,)); squareness is the caller's rule."""
     rows = [array(row, f"{where}[{i}]") for i, row in enumerate(array(value, where))]
     if len(set(map(len, rows))) > 1:

@@ -16,13 +16,10 @@ import sys
 from pathlib import Path
 
 from . import _read
-from .algebra import Element
 from .errors import ConstraintViolated, NoConvergence, PopaAlgebraError
-from .solutions import solution_from_json, verify_gs
-from .special import WjSolutionOracle, st_roots, wj_extract, xi_root
-from .structure import (SigmaMatrix, analyse_sigma, classify_2d,
-                        classify_partition_2d)
-from .tilting import tilt_T, tilt_inverse, tilt_solve_fixed_point
+
+# Each verb imports the layers it runs, so that a call loads only those:
+# xi and solve-st load no numpy.
 
 
 def _load_json(path: str):
@@ -43,6 +40,7 @@ class _InputError(Exception):
 
 def _load_solution(data: dict, path: str):
     """The file's 'solution' object, or the file itself when it has none."""
+    from .solutions import solution_from_json
     try:
         if "solution" in data:
             return solution_from_json(data["solution"], "'solution'")
@@ -51,8 +49,9 @@ def _load_solution(data: dict, path: str):
         raise _InputError(f"bad solution object in {path}: {exc}")
 
 
-def _load_point(raw, where: str, sol, path: str) -> Element:
+def _load_point(raw, where: str, sol, path: str):
     """A point: coordinates in the solution's algebra, or an element object."""
+    from .algebra import Element
     try:
         if isinstance(raw, dict):
             return Element.from_json(raw, where)
@@ -85,6 +84,8 @@ def _emit(report, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
+    from .structure import (SigmaMatrix, analyse_sigma, classify_2d,
+                            classify_partition_2d)
     data = _load_json(args.input)
     if "sigma" in data:
         m = SigmaMatrix.from_json(data)
@@ -101,6 +102,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .solutions import verify_gs
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
     report = verify_gs(sol, n_samples=args.samples, seed=args.seed,
@@ -114,6 +116,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tilt(args) -> int:
+    from .tilting import tilt_T
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
     u = _load_point(_read.get(data, "u", ""), "'u'", sol, args.input)
@@ -126,6 +129,7 @@ def _cmd_tilt(args) -> int:
 
 
 def _cmd_invert_tilt(args) -> int:
+    from .tilting import tilt_T, tilt_inverse
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
     v = _load_point(_read.get(data, "v", ""), "'v'", sol, args.input)
@@ -137,6 +141,7 @@ def _cmd_invert_tilt(args) -> int:
 
 
 def _cmd_solve_tilt(args) -> int:
+    from .tilting import tilt_solve_fixed_point
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
     v = _load_point(_read.get(data, "v", ""), "'v'", sol, args.input)
@@ -150,6 +155,7 @@ def _cmd_solve_tilt(args) -> int:
 
 
 def _cmd_solve_st(args) -> int:
+    from .roots import st_roots
     roots = st_roots(args.n_roots)
     _emit([r.to_json() for r in roots], args.output)
     # Rounding a root w to doubles moves it by about eps |w|, and there the
@@ -161,6 +167,7 @@ def _cmd_solve_st(args) -> int:
 
 
 def _cmd_xi(args) -> int:
+    from .roots import xi_root
     xi = xi_root()
     residual = abs(math.exp(-xi) - (xi - 1.0))
     _emit({"xi": xi, "residual": residual}, args.output)
@@ -168,6 +175,7 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_wj(args) -> int:
+    from .special import WjSolutionOracle, wj_extract
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
     samples = (_read.get(data, "lambda_samples", "", _read.array)
@@ -192,6 +200,7 @@ def _cmd_wj(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .solutions import verify_gs
     data = _load_json(args.input)
     params = _read.get(data, "params", "", _read.obj)
     _read.get(params, "tol", "'params'", _read.real, 0)   # not replayed, but must be valid

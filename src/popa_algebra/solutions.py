@@ -288,6 +288,7 @@ def LinearCandidate(matrix, algebra: Optional[AlgebraDescriptor] = None) -> Line
                           omega_homogeneous=False)
 
 
+@np.errstate(over="ignore")   # a product that overflows is inf, and fails the check
 def _check_orthogonal_idempotents(elements: Sequence[Element]):
     for i, e in enumerate(elements):
         if (e * e - e).norm() > IDEMPOTENT_TOL:
@@ -359,7 +360,10 @@ class DegenerateExpSolution(GsSolution):
         c = x.coords
         if self.form is DegenerateForm.ONE_EXP:
             out = np.ones(self.algebra.dim)
-            out[self.exp_index] = math.exp(float(self.weights @ c))
+            try:
+                out[self.exp_index] = math.exp(float(self.weights @ c))
+            except OverflowError:   # inf, as eval_block's np.exp gives
+                out[self.exp_index] = math.inf
             return Element(out, self.algebra)
         if self.form is DegenerateForm.AFFINE_POWER:
             base = 1.0 + self.rho_coeff * c[self.axis]
@@ -369,7 +373,8 @@ class DegenerateExpSolution(GsSolution):
             raise NotInGroup(f"power form undefined: base is not above {_DOMAIN_EPS}")
         out = np.empty(2)
         out[self.axis] = base
-        out[1 - self.axis] = base ** self.gamma_exp
+        with np.errstate(over="ignore"):   # inf, as eval_block's power gives
+            out[1 - self.axis] = base ** self.gamma_exp
         return Element(out, self.algebra)
 
     def gamma_matrix(self) -> np.ndarray:

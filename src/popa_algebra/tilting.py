@@ -101,12 +101,20 @@ class TiltResult:
                 "contraction_bound": CONTRACTION_BOUND}
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, inf where it overflows: the radii below are then 0."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def contraction_radius(sol: GsSolution) -> float:
     """Ball radius within which the solver's update map is a 1/2-contraction."""
     gnorm = sol.gamma_norm()
     if gnorm == 0.0:
         return math.inf
-    return min(1.0, 1.0 / (3.0 * gnorm * math.exp(gnorm)))
+    return min(1.0, 1.0 / (3.0 * gnorm * _exp_or_inf(gnorm)))
 
 
 def guarantee_radius(sol: GsSolution) -> float:
@@ -115,7 +123,7 @@ def guarantee_radius(sol: GsSolution) -> float:
     if gnorm == 0.0:
         return math.inf
     delta = contraction_radius(sol)
-    return min(1.0, delta / 2.0, delta / (2.0 * gnorm * math.exp(gnorm)))
+    return min(1.0, delta / 2.0, delta / (2.0 * gnorm * _exp_or_inf(gnorm)))
 
 
 def tilt_solve_fixed_point(sol: GsSolution, v: Element,

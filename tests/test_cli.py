@@ -436,6 +436,40 @@ def test_fuzzed_field_exits_two_with_a_diagnostic(draw, tmp_path_factory):
         json.loads(out, parse_constant=_reject_constant)
 
 
+#: (verb, input, exit code): a value beyond the float range met on the way is
+#: inf, so the run ends with its documented code and no traceback or warning
+OVERFLOWS = {
+    # gamma_norm e^gamma_norm overflows: the guarantee radius is 0
+    "solve-tilt-huge-rho": ("solve-tilt", {"solution": dict(PARTITION, rho=[1.0, 1e308]),
+                                           "v": [0.01, 0.02]}, 1),
+    # S(unit) = exp(1e308): the report's residuals are NaN
+    "verify-one-exp-huge-weight": ("verify", dict(ONE_EXP, gamma_exp=1e308), 1),
+    "verify-affine-power-huge-rho": ("verify", dict(AFFINE_POWER, rho=1e308), 1),
+    # e * e overflows: not an idempotent
+    "verify-idempotent-huge-entry": ("verify", {
+        "variant": "IdempotentBuilt", "idempotents": [[1e308, 0.0], [0.0, 1.0]],
+        "sigma": [1.0, 1.0], "algebra": HAD2}, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflow_is_neither_a_traceback_nor_a_warning(tmp_path, case):
+    verb, data, code = OVERFLOWS[case]
+    src = str(Path(popa_algebra.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "popa_algebra", verb,
+                           "--input", _write(tmp_path, "in.json", data)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    if code == 1:
+        report = json.loads(proc.stdout, parse_constant=_reject_constant)
+        if verb == "verify":
+            assert report["results"]["max_gs_residual"] == "NaN"
+    else:
+        assert proc.stdout == "" and proc.stderr.startswith("input error: ")
+
+
 # ---------------------------------------------------------------------------
 # input holes: values a lenient reader would take as something else (a
 # truncated fraction, a numeric string, a huge integer literal, a non-object

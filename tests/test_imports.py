@@ -1,0 +1,87 @@
+"""What each entry point loads: the CLI loads a verb's layers only when the
+verb runs, and the package namespace imports each public name on first use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import popa_algebra
+
+SRC = str(Path(popa_algebra.__file__).resolve().parent.parent)
+
+#: the package's public names, by the module that defines them
+EXPORTS = {
+    "algebra": "AlgebraDescriptor AlgebraKind Element complex_plane grid_interval hadamard",
+    "errors": "ConstraintViolated DimensionMismatch DomainExhausted InvalidTriple "
+              "LogBranchViolation NoConvergence NotDifferentiable NotInGroup NotInRange "
+              "NotInvertible NotOmegaHomogeneous NotOrthogonalIdempotents PopaAlgebraError "
+              "UnitNotInGroup UnsupportedDimension",
+    "solutions": "CanonicalSolution ComplexReImSolution DegenerateExpSolution DegenerateForm "
+                 "GoldieResidualReport GsSolution IdempotentSolution LinearCandidate "
+                 "LinearSolution PartitionSolution PartitionSpec adjustor "
+                 "check_omega_homogeneity circle_inv circle_op decomposition_check "
+                 "dichotomy_check gamma gamma_fd popa_isomorphism_check rho_of "
+                 "solution_from_json verify_gs",
+    "roots": "StSolution count_roots_negative_strip st_roots xi_root",
+    "special": "WjSolutionOracle WjTriple wj_extract wj_verify",
+    "structure": "SigmaMatrix StructureReport TwoDClass TwoDClassification analyse_sigma "
+                 "classify_2d factorize kernel_subspace recover_partition validate_sigma",
+    "tilting": "Direction RatioLimitResult TiltResult UnboundednessVerdict lambda_scale "
+               "radiality_check ratio_limit_check tilt_T tilt_inverse tilt_path "
+               "tilt_solve_fixed_point unboundedness_direction",
+}
+PUBLIC = sorted(name for names in EXPORTS.values() for name in names.split())
+
+
+def _loaded_after(code: str) -> dict:
+    """Run code in a fresh interpreter; report its exit code and the modules it loaded."""
+    probe = (f"import json, sys\ncode = 0\n{code}\n"
+             "print(json.dumps([code, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return {"code": code, "modules": set(modules)}
+
+
+def test_cli_import_loads_no_layer_and_no_numpy():
+    loaded = _loaded_after("import popa_algebra.cli")["modules"]
+    layers = {f"popa_algebra.{m}" for m in ("solutions", "structure", "tilting", "special",
+                                            "algebra", "roots")}
+    assert not loaded & (layers | {"numpy"})
+
+
+@pytest.mark.parametrize("argv", [["xi"], ["solve-st", "--n-roots", "30"]])
+def test_transcendental_verbs_run_without_numpy(argv):
+    run = _loaded_after("import contextlib, io\nfrom popa_algebra.cli import main\n"
+                        "with contextlib.redirect_stdout(io.StringIO()):\n"
+                        f"    code = main({argv!r})")
+    assert run["code"] == 0
+    assert "popa_algebra.roots" in run["modules"]
+    assert "numpy" not in run["modules"]
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_public_names_resolve_to_their_module_objects(module):
+    mod = importlib.import_module(f"popa_algebra.{module}")
+    for name in EXPORTS[module].split():
+        assert getattr(popa_algebra, name) is getattr(mod, name), name
+    assert getattr(popa_algebra, module) is mod
+
+
+def test_star_import_and_dir_list_the_public_names():
+    namespace = {}
+    exec("from popa_algebra import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC
+    assert dir(popa_algebra) == PUBLIC
+    assert sorted(popa_algebra.__all__) == PUBLIC
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        popa_algebra.no_such_name

@@ -12,7 +12,7 @@ from popa_algebra import (CanonicalSolution, IdempotentSolution, InvalidTriple,
                           WjTriple, complex_plane, count_roots_negative_strip,
                           grid_interval, hadamard, st_roots, verify_gs, wj_extract, wj_verify,
                           xi_root)
-from popa_algebra.special import st_residual
+from popa_algebra.roots import st_residual
 
 A1, A2 = hadamard(1), hadamard(2)
 TWO_PI = 2 * math.pi

@@ -266,6 +266,12 @@ def test_contraction_radius_formulas():
     assert abs(eta - min(1.0, delta / 2, delta / (2 * gn * math.exp(gn)))) < 1e-15
 
 
+def test_radii_are_zero_where_the_growth_overflows():
+    sol = codependent(1.0, 1e308)   # e^gamma_norm overflows
+    assert contraction_radius(sol) == 0.0
+    assert guarantee_radius(sol) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # one-sided unboundedness
 # ---------------------------------------------------------------------------
