@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -55,21 +55,14 @@ class SigmaMatrix:
 _PAIR_BLOCK_COORDS = 2**15
 
 
-def _coupling(a: np.ndarray, tol: float) -> np.ndarray:
-    """Symmetric mask of the pairs (i, j) with |a_ij| > tol or |a_ji| > tol."""
-    adj = np.abs(a) > tol
-    return adj | adj.T
-
-
-def _rows_agree(a: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float) -> bool:
-    """True iff max|a_i - a_j| <= tol * max(1, max|a_i|, max|a_j|) for every pair.
+def _rows_agree(a: np.ndarray, rowmax: np.ndarray, i: np.ndarray, j: np.ndarray,
+                tol: float) -> bool:
+    """True iff max|a_i - a_j| <= tol * max(1, rowmax_i, rowmax_j) for every pair,
+    where rowmax holds each row's max|a_i|.
 
     The pairs are compared in blocks, stopping at the first block with a
     disagreeing pair.
     """
-    if len(i) == 0:
-        return True
-    rowmax = np.max(np.abs(a), axis=1)
     step = max(1, _PAIR_BLOCK_COORDS // a.shape[1])
     for s in range(0, len(i), step):
         bi, bj = i[s:s + step], j[s:s + step]
@@ -80,24 +73,6 @@ def _rows_agree(a: np.ndarray, i: np.ndarray, j: np.ndarray, tol: float) -> bool
         if not np.all(np.max(diff, axis=1) <= bound):
             return False
     return True
-
-
-def validate_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> bool:
-    """True iff every entry above tol couples two rows that agree entrywise.
-
-    Rows i and j agree when max|a_i - a_j| <= tol * max(1, max|a_i|, max|a_j|).
-    A negative tol couples each row with itself and no row agrees with
-    itself, so every non-empty matrix fails; a NaN tol couples nothing.
-    """
-    if tol < 0 and m.dim > 0:
-        return False
-    i, j = np.nonzero(np.triu(_coupling(m.entries, tol), 1))
-    return _rows_agree(m.entries, i, j, tol)
-
-
-def _require_valid(m: SigmaMatrix, tol: float) -> None:
-    if not validate_sigma(m, tol):
-        raise ConstraintViolated("matrix fails the row-coupling constraint")
 
 
 def _components(adj: np.ndarray) -> List[List[int]]:
@@ -119,25 +94,71 @@ def _components(adj: np.ndarray) -> List[List[int]]:
     return comps
 
 
-def _partition(a: np.ndarray, tol: float) -> Optional[PartitionSpec]:
-    """The partition of a matrix that passed validate_sigma, or None when a
-    row disagrees with its part's first row (coupled rows agree pairwise
-    but drift along a chain)."""
-    parts = _components(_coupling(a, tol))
-    coords = np.arange(a.shape[0])
-    rep = np.empty_like(coords)
-    for part in parts:
-        rep[part] = part[0]
-    others = np.flatnonzero(rep != coords)
-    if not _rows_agree(a, rep[others], others, tol):
-        return None
-    return PartitionSpec(tuple(tuple(p) for p in parts), a[rep, coords])
+def _structure(a: np.ndarray, tol: float) -> Tuple[bool, Optional[PartitionSpec]]:
+    """(valid, spec) for validate_sigma and recover_partition: spec is the
+    partition, or None when a row disagrees with its part's first row
+    (coupled rows agree pairwise but drift along a chain).
+
+    The parts are the components of the coupling graph: when it is a union
+    of cliques (no zero generators), each row's first coupled index labels
+    its part, else a BFS finds them.  A part passes if its rows are equal,
+    or if its column range max_k (max_i a_ik - min_i a_ik) is within
+    tol * max(1, min_i max|a_i|), since a rounded difference of two entries
+    never exceeds the rounded difference of their column's max and min.
+    Only a part that fails has its rows compared pair by pair.
+    """
+    if tol < 0:
+        return False, None
+    d = a.shape[0]
+    coupled = (a > tol) | (a < -tol)
+    coupled |= coupled.T
+    linked = coupled | np.eye(d, dtype=bool)
+    lab = linked.argmax(axis=1)
+    if not np.array_equal(linked, lab[:, None] == lab[None, :]):
+        for part in _components(coupled):
+            lab[part] = part[0]
+    rowmax = np.maximum(a.max(axis=1), -a.min(axis=1))
+    drift = False
+    with np.errstate(over="ignore"):
+        for first in sorted(set(lab[np.any(a != a[lab], axis=1)].tolist())):
+            part = np.flatnonzero(lab == first)
+            rows = a[part]
+            if np.max(rows.max(axis=0) - rows.min(axis=0)) <= tol * max(1.0, rowmax[part].min()):
+                continue
+            # the first row's coupled pairs first: when one disagrees, as when the
+            # first row is the odd one out, no other pair needs comparing
+            nb = part[coupled[first, part]]
+            if not _rows_agree(a, rowmax, np.full(len(nb), first), nb, tol):
+                return False, None
+            i, j = np.nonzero(coupled[part])
+            i = part[i]
+            if not _rows_agree(a, rowmax, i[i < j], j[i < j], tol):
+                return False, None
+            drift = drift or not _rows_agree(a, rowmax, np.full(len(part) - 1, first),
+                                             part[1:], tol)
+    if drift:
+        return True, None
+    order = np.argsort(lab, kind="stable").tolist()
+    ends = np.flatnonzero(np.diff(lab[order], append=d)).tolist()
+    parts = tuple(tuple(order[s + 1:e + 1]) for s, e in zip([-1] + ends, ends))
+    return True, PartitionSpec(parts, a[lab, np.arange(d)])
+
+
+def validate_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> bool:
+    """True iff every entry above tol couples two rows that agree entrywise.
+
+    Rows i and j agree when max|a_i - a_j| <= tol * max(1, max|a_i|, max|a_j|).
+    A negative tol couples each row with itself and no row agrees with
+    itself, so every non-empty matrix fails; a NaN tol couples nothing.
+    """
+    return _structure(m.entries, tol)[0]
 
 
 def recover_partition(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> PartitionSpec:
     """Extract the coordinate partition and generator vector of a valid matrix."""
-    _require_valid(m, tol)
-    spec = _partition(m.entries, tol)
+    valid, spec = _structure(m.entries, tol)
+    if not valid:
+        raise ConstraintViolated("matrix fails the row-coupling constraint")
     if spec is None:
         raise ConstraintViolated("coupled rows disagree within a part")
     return spec
@@ -150,7 +171,8 @@ def _kernel_elements(a: np.ndarray) -> List[Element]:
 
 def kernel_subspace(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> List[Element]:
     """Orthonormal basis of the null space, as elements of the d-dim algebra."""
-    _require_valid(m, tol)
+    if not validate_sigma(m, tol):
+        raise ConstraintViolated("matrix fails the row-coupling constraint")
     return _kernel_elements(m.entries)
 
 
@@ -159,6 +181,9 @@ def null_space_basis(a: np.ndarray) -> np.ndarray:
     if not np.any(a):
         return np.eye(a.shape[0])
     _, s, vt = np.linalg.svd(a)
+    if not np.isfinite(s[0]):
+        # the largest singular value overflowed; a / max|a| has the same null space
+        _, s, vt = np.linalg.svd(a / np.max(np.abs(a)))
     rank = int(np.sum(s > RANK_REL_THRESHOLD * s[0]))
     return vt[rank:]
 
@@ -238,23 +263,27 @@ def factorize(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureReport:
 
 def _factorize(a: np.ndarray, spec: PartitionSpec) -> StructureReport:
     basis = _kernel_elements(a)
-    factors = tuple((tuple(i + 1 for i in part), tuple(float(spec.rho[j]) for j in part))
+    rho = spec.rho.tolist()
+    factors = tuple((tuple(i + 1 for i in part), tuple(rho[j] for j in part))
                     for part in spec.parts)
 
-    # z = x + S(x) y for all sampled pairs at once, S(x) = 1 + M x.  Both sides
-    # differ only by rounding, which scales with the summands of S(x) - 1: at
-    # most 0.4 times a row sum of |M|, the largest part sum of |rho|.
+    # z = x + S(x) y for all sampled pairs at once, S(x) = 1 + M x, against
+    # each factor's x + (1 + per-part sum of x * rho) y.  The GEMM and the
+    # part sums add the same terms in another order, so the two sides differ
+    # by at most about d * eps * 0.4 * (a part's sum of |rho|): far below the
+    # bound 1e-10 * (1 + 0.4 * the largest row sum of |M|) for d below 1e5.
     rng = np.random.default_rng(0)
-    X = rng.uniform(-0.4, 0.4, size=(64, a.shape[0]))
-    Y = rng.uniform(-0.4, 0.4, size=(64, a.shape[0]))
+    d, k = a.shape[0], len(spec.parts)
+    X = rng.uniform(-0.4, 0.4, size=(64, d))
+    Y = rng.uniform(-0.4, 0.4, size=(64, d))
+    ids = spec.part_ids()
     M = spec.sigma_matrix()
-    Z = X + (1.0 + X @ M.T) * Y
-    bound = 1e-10 * (1.0 + 0.4 * float(np.max(np.sum(np.abs(M), axis=1))))
-    for part in spec.parts:
-        idx = list(part)
-        s_part = 1.0 + X[:, idx] @ spec.rho[idx]
-        proj = X[:, idx] + s_part[:, None] * Y[:, idx]
-        if np.any(np.max(np.abs(Z[:, idx] - proj), axis=1) > bound):
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = X + (1.0 + X @ M.T) * Y
+        bound = 1e-10 * (1.0 + 0.4 * float(np.max(np.sum(np.abs(M), axis=1))))
+        sums = np.bincount((np.arange(64)[:, None] * k + ids).ravel(),
+                           weights=(X * spec.rho).ravel(), minlength=64 * k).reshape(64, k)
+        if np.any(np.abs(Z - (X + (1.0 + sums[:, ids]) * Y)) > bound):
             raise ConstraintViolated("projected operation disagrees with the factor")
 
     return StructureReport(True, spec, tuple(basis), len(basis), factors)
@@ -263,9 +292,10 @@ def _factorize(a: np.ndarray, spec: PartitionSpec) -> StructureReport:
 def analyse_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureReport:
     """Non-raising wrapper: a matrix that fails the row-coupling constraint,
     or whose parts' rows disagree, yields a report with valid=False."""
-    spec = _partition(m.entries, tol) if validate_sigma(m, tol) else None
+    spec = _structure(m.entries, tol)[1]
     if spec is None:
-        return StructureReport(False, None, (), m.dim - int(np.linalg.matrix_rank(m.entries)),
-                               ())
+        rank = np.linalg.matrix_rank(m.entries)
+        if rank == 0 and np.any(m.entries):   # only when the largest singular value overflows
+            rank = np.linalg.matrix_rank(m.entries / np.max(np.abs(m.entries)))
+        return StructureReport(False, None, (), m.dim - int(rank), ())
     return _factorize(m.entries, spec)
-

@@ -449,7 +449,18 @@ OVERFLOWS = {
     "verify-idempotent-huge-entry": ("verify", {
         "variant": "IdempotentBuilt", "idempotents": [[1e308, 0.0], [0.0, 1.0]],
         "sigma": [1.0, 1.0], "algebra": HAD2}, 2),
+    # the largest singular value is above the float range; a row sum of |rho|
+    # and a row difference overflow
+    "classify-rank-one-near-max": ("classify", json.loads(
+        (DATA / "sigma_rank_one_near_max.json").read_text(encoding="utf-8")), 0),
+    "classify-full-rank-near-max": ("classify", {"sigma": [[1e308, 1e308], [1e308, 9e307]]}, 1),
+    "classify-opposite-rows-near-max": ("classify", {"sigma": [[1e308, -1e308],
+                                                                [1e308, 1e308]]}, 1),
 }
+
+#: the kernel dimension of each classify case above: 2 minus the matrix's rank
+OVERFLOW_KERNEL_DIMS = {"classify-rank-one-near-max": 1, "classify-full-rank-near-max": 0,
+                        "classify-opposite-rows-near-max": 0}
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOWS))
@@ -462,12 +473,15 @@ def test_overflow_is_neither_a_traceback_nor_a_warning(tmp_path, case):
                           text=True, timeout=60)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-    if code == 1:
-        report = json.loads(proc.stdout, parse_constant=_reject_constant)
-        if verb == "verify":
-            assert report["results"]["max_gs_residual"] == "NaN"
-    else:
+    if code == 2:
         assert proc.stdout == "" and proc.stderr.startswith("input error: ")
+        return
+    report = json.loads(proc.stdout, parse_constant=_reject_constant)
+    if verb == "verify":
+        assert report["results"]["max_gs_residual"] == "NaN"
+    if verb == "classify":
+        assert report["kernel_dim"] == OVERFLOW_KERNEL_DIMS[case]
+        assert len(report["kernel_basis"]) == OVERFLOW_KERNEL_DIMS[case]
 
 
 # ---------------------------------------------------------------------------

@@ -261,18 +261,25 @@ def test_structure_report_json():
 
 def test_each_request_validates_once(monkeypatch, tmp_path, capsys):
     calls = []
-    real = structure.validate_sigma
+    real = structure._structure
 
-    def counting(m, tol=structure.DEFAULT_ROW_TOL):
+    def counting(a, tol):
         calls.append(tol)
-        return real(m, tol)
+        return real(a, tol)
 
-    monkeypatch.setattr(structure, "validate_sigma", counting)
+    monkeypatch.setattr(structure, "_structure", counting)
     for a, tol in (([[1, 2], [1, 2]], 1e-9), (np.ones((5, 5)), 1e-9),
                    ([[1, 2], [3, 4]], 1e-9), (CHAIN, 1e-3)):
         calls.clear()
         analyse_sigma(SigmaMatrix(a), tol)
         assert len(calls) == 1
+    for request in (validate_sigma, recover_partition, kernel_subspace, factorize):
+        calls.clear()
+        request(SigmaMatrix(np.ones((5, 5))))
+        assert len(calls) == 1, request.__name__
+    calls.clear()
+    classify_2d(PartitionSolution(PartitionSpec(((0, 1),), [1.0, 2.0])))
+    assert len(calls) == 1
     calls.clear()
     path = tmp_path / "sigma.json"
     path.write_text(json.dumps({"sigma": [[1, 2], [1, 2]]}), encoding="utf-8")
@@ -298,11 +305,28 @@ def _agrees_with_oracle(m, tol):
     assert _outcome(recover_partition, m, tol) == _outcome(oracle.recover_partition, m, tol)
 
 
+def _chain(perm, unit):
+    """Rows coupled along a path in the order perm: at tol = unit each row
+    agrees with its neighbours, but rows two steps apart disagree."""
+    d = len(perm)
+    a = np.zeros((d, d))
+    for r in range(d):
+        for s, g in zip(range(r - 2, r + 3), (1.0, 1.5, 1.5, 1.5, 1.0)):
+            if 0 <= s < d:
+                a[perm[r], perm[s]] = g * unit
+    return a
+
+
 def _sigma_case(seed, d, kind, tol):
     rng = np.random.default_rng(seed)
     spec = random_partition_spec(rng, d)
     if kind == "perturbed" and d > 1:
         return perturbed_sigma(rng, spec)
+    if kind == "chain":
+        return SigmaMatrix(_chain(rng.permutation(d), tol if tol > 0 else 1e-12))
+    if kind == "zero-generators":
+        # a part's zero generators couple only with its nonzero ones
+        spec = PartitionSpec(spec.parts, np.where(rng.random(d) < 0.4, 0.0, spec.rho))
     a = spec.sigma_matrix()
     if kind == "jitter":
         # row gaps and stray entries within a small factor of the tolerance
@@ -313,12 +337,51 @@ def _sigma_case(seed, d, kind, tol):
     return SigmaMatrix(a)
 
 
+KINDS = ["valid", "perturbed", "jitter", "zero-generators", "chain"]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(seed=hst.integers(0, 2**32 - 1), d=hst.integers(1, 12),
-       kind=hst.sampled_from(["valid", "perturbed", "jitter"]),
-       tol=hst.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+@given(seed=hst.integers(0, 2**32 - 1), d=hst.integers(1, 40),
+       kind=hst.sampled_from(KINDS), tol=hst.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
 def test_validation_and_partition_match_plain_loops(seed, d, kind, tol):
     _agrees_with_oracle(_sigma_case(seed, d, kind, tol), tol)
+
+
+def _count_bfs(monkeypatch):
+    found = []
+    real = structure._components
+
+    def counting(adj):
+        found.append(real(adj))
+        return found[-1]
+
+    monkeypatch.setattr(structure, "_components", counting)
+    return found
+
+
+def test_both_component_paths_match_plain_loops(monkeypatch):
+    # parts whose generators are all nonzero are cliques of the coupling graph
+    # and are labelled without a search; zero generators and chains are not
+    found = _count_bfs(monkeypatch)
+    for kind in KINDS:
+        found.clear()
+        for seed in range(20):
+            _agrees_with_oracle(_sigma_case(seed, 30, kind, 1e-6), 1e-6)
+        if kind == "valid":
+            assert not found
+        elif kind == "chain":   # validate_sigma and recover_partition: one search each
+            assert len(found) == 2 * 20
+        elif kind == "zero-generators":
+            assert found
+
+
+def test_random_order_chain_components_match_plain_loops(monkeypatch):
+    tol = 2.0 ** -20
+    a = _chain(np.random.default_rng(3).permutation(512), tol)
+    found = _count_bfs(monkeypatch)
+    _agrees_with_oracle(SigmaMatrix(a), tol)
+    assert found and all(comps == oracle.components(a, tol) for comps in found)
+    assert found[0] == [list(range(512))]
 
 
 # rows 0-1 and 1-2 are coupled and agree at tol 1e-3, rows 0 and 2 are not
@@ -326,12 +389,14 @@ def test_validation_and_partition_match_plain_loops(seed, d, kind, tol):
 CHAIN = [[-0.0016, 0.5, 0.0], [-0.0008, 0.5, 0.0008], [0.0, 0.5, 0.0016]]
 
 
-# at tol 0.6 the uneven rows agree only under the larger of their two scales
+# at tol 0.6 the uneven rows agree only under the larger of their two scales;
+# the wide row's scale covers its part's column range, but rows 0 and 1 disagree
 @pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.6, -1.0, -0.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("a", [CHAIN, [[1, 2], [1, 2]], [[1, 2], [3, 4]], np.diag([0.0, 3.0]),
-                               [[1, 1], [1, 2]], [[1, 2], [1, 1]], [[2.0]]],
+                               [[1, 1], [1, 2]], [[1, 2], [1, 1]], [[2.0]],
+                               [[1, 1, 1], [1, 1, 0.3], [2.4, 1, 1]]],
                          ids=["chain", "coupled", "invalid", "diagonal", "uneven",
-                              "uneven-reversed", "one"])
+                              "uneven-reversed", "one", "one-wide-row"])
 def test_edge_tolerances_match_plain_loops(a, tol):
     _agrees_with_oracle(SigmaMatrix(a), tol)
 
