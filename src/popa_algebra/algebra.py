@@ -180,7 +180,7 @@ class Element:
         axioms require.
         """
         if self.algebra.componentwise:
-            return float(np.max(np.abs(self.coords))) if self.algebra.dim else 0.0
+            return float(np.max(np.abs(self.coords)))
         return float(math.hypot(self.coords[0], self.coords[1]))
 
     def spectrum(self) -> np.ndarray:

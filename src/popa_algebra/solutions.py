@@ -125,7 +125,7 @@ class GsSolution:
         """Operator norm of the derivative at 0 under the algebra norm."""
         M = self.gamma_matrix()
         if self.algebra.componentwise:
-            return float(np.max(np.sum(np.abs(M), axis=1))) if M.size else 0.0
+            return float(np.max(np.sum(np.abs(M), axis=1)))
         return float(np.linalg.svd(M, compute_uv=False)[0])
 
     def omega_homogeneous(self) -> bool:
@@ -338,7 +338,8 @@ class DegenerateExpSolution(GsSolution):
                     raise DimensionMismatch("weights and exp_index required when dim != 2")
                 if weights is None:
                     weights = np.where(np.arange(2) == self.axis, self.gamma_exp, 0.0)
-                exp_index = 1 - self.axis
+                if exp_index is None:
+                    exp_index = 1 - self.axis
             w = np.asarray(weights, dtype=float)
             if w.shape != (d,):
                 raise DimensionMismatch("weights length must equal dim")

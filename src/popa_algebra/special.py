@@ -64,8 +64,7 @@ def wj_verify(t: WjTriple, tol: float = 1e-9) -> bool:
     unit = t.algebra.unit()
 
     def off_kernel(x: Element) -> float:
-        c = t.complement_part(x)
-        return float(np.max(np.abs(c))) if c.size else 0.0
+        return float(np.max(np.abs(t.complement_part(x))))
 
     for lam in t.lambda_samples:
         if not lam.is_invertible():
@@ -119,7 +118,7 @@ class WjSolutionOracle:
 
     def eval(self, x: Element) -> Element:
         cx = self.triple.complement_part(x)
-        scale = max(1.0, float(np.max(np.abs(cx))) if cx.size else 0.0)
+        scale = max(1.0, float(np.max(np.abs(cx))))
         for lam, rep in self._table:
             if float(np.max(np.abs(cx - rep))) <= self.tol * scale:
                 return lam

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import (Element, exp_ratio_scalar, growth_scalar, h_scalar,
                       log1p_over_scalar)
 from .errors import (LogBranchViolation, NoConvergence, NotInvertible,
-                     NotOmegaHomogeneous, PopaAlgebraError)
+                     NotOmegaHomogeneous)
 from .solutions import GsSolution, adjustor, gamma
 
 RESIDUAL_TOL = 1e-12
@@ -77,11 +77,7 @@ def tilt_inverse(sol: GsSolution, v: Element) -> Element:
     if not (sol.algebra.unit() + gv).in_log_branch():
         raise LogBranchViolation("spectrum of unit + gamma(v) meets (-inf, 0]")
     ratio = gv.apply_scalar(log1p_over_scalar)
-    u = v * ratio
-    # the derivative of the preimage must be the principal log of unit + g(v)
-    if (gamma(sol, u) - gv * ratio).norm() > 1e-9 * max(1.0, gv.norm()):
-        raise PopaAlgebraError("tilt inverse consistency check failed")
-    return u
+    return v * ratio
 
 
 @dataclass(frozen=True)
@@ -177,11 +173,6 @@ class UnboundednessVerdict:
     direction: Direction
     limit_point: Optional[Element]
 
-    def to_json(self) -> dict:
-        return {"direction": self.direction.value,
-                "limit_point": None if self.limit_point is None
-                else self.limit_point.to_json()}
-
 
 def unboundedness_direction(sol: GsSolution, u: Element) -> UnboundednessVerdict:
     """Which of the two rays s -> T(+-su) is unbounded.
@@ -208,24 +199,10 @@ def unboundedness_direction(sol: GsSolution, u: Element) -> UnboundednessVerdict
                      else Direction.MINUS_UNBOUNDED)
         return UnboundednessVerdict(direction, None)
     direction = Direction.PLUS_UNBOUNDED if plus_grows else Direction.MINUS_UNBOUNDED
-
-    # sampled confirmation on the active coordinates, plus the bounded limit
-    sign = 1.0 if plus_grows else -1.0
-    t_far = tilt_path(sol, u, sign * 40.0)
-    t_near = tilt_path(sol, u, sign * 20.0)
-    if _active_norm(t_far, gu) < _active_norm(t_near, gu):
-        raise PopaAlgebraError("sampled growth contradicts the spectral verdict")
     return UnboundednessVerdict(direction, _bounded_limit(u, gu))
 
 
-# both helpers run only when gamma(u) has a spectral point above KERNEL_EPS
-
-def _active_norm(x: Element, gu: Element) -> float:
-    if x.algebra.componentwise:
-        return float(np.max(np.abs(x.coords[np.abs(gu.coords) > KERNEL_EPS])))
-    return x.norm()
-
-
+# runs only when gamma(u) has a spectral point above KERNEL_EPS
 def _bounded_limit(u: Element, gu: Element) -> Element:
     if gu.algebra.componentwise:
         return gu.algebra.element(np.divide(-u.coords, gu.coords, out=np.zeros(u.algebra.dim),
@@ -241,10 +218,6 @@ class RatioLimitResult:
     ns: tuple
     errors: tuple
     limit: Element
-
-    def to_json(self) -> dict:
-        return {"ns": list(self.ns), "errors": list(self.errors),
-                "limit": self.limit.to_json()}
 
 
 @np.errstate(all="ignore")

@@ -196,6 +196,9 @@ BAD_INPUTS = {
     "tilt-infinite-rho": (["tilt"], {"solution": dict(CANONICAL, rho=[math.inf, 1.0]),
                                      "u": [0.1, 0.2]}, "'rho'"),
     "tilt-overflow": (["tilt"], {"solution": CANONICAL, "u": [800.0, 0.2]}, "'u'"),
+    # an explicit exp_index is kept, and the default weights do not vanish there
+    "verify-one-exp-weight-at-exp-index": (["verify"], dict(ONE_EXP, exp_index=0),
+                                           "weights must vanish at the exponential"),
     "wj-nan-lambda": (["wj"], {"solution": CANONICAL,
                                "lambda_samples": [[0.5, 2.0], NAN_POINT]},
                       "'lambda_samples'"),
@@ -249,6 +252,18 @@ def test_tilt_and_inverse(tmp_path, capsys):
     assert set(rep) == {"u", "iterations", "final_residual", "guaranteed",
                         "max_contraction_ratio", "contraction_bound"}
     assert rep["contraction_bound"] == 0.5
+
+
+def test_invert_tilt_on_a_cancelling_v_exits_one(tmp_path, capsys):
+    # gamma(v) = 1e8 - 99999999.7 keeps a single digit, so the closed form
+    # misses: the residual gate reports it, not an input error
+    path = _write(tmp_path, "in.json", {"solution": dict(PARTITION, rho=[1.0, 1.0]),
+                                        "v": [1e8, -99999999.7]})
+    code = main(["invert-tilt", "--input", path, "--tol", "1e-9"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    assert json.loads(out, parse_constant=_reject_constant)["residual"] > 1e-9
 
 
 def test_solve_st(tmp_path, capsys):

@@ -142,6 +142,25 @@ def test_wj_verify_rejects_quadratic_section():
         WjSolutionOracle(triple)
 
 
+_KERNEL_DIAGONAL = (A2.element(np.array([1.0, 1.0]) / math.sqrt(2.0)),)
+
+
+def _shift(lam):
+    return lam - lam.algebra.unit()
+
+
+@pytest.mark.parametrize("kernel, samples, section", [
+    ((), [[0.0]], _shift),                            # a non-invertible sample
+    (_KERNEL_DIAGONAL, [[2.0, 3.0]], _shift),         # the sample moves the kernel
+    ((), [[1.0]], lambda lam: lam),                   # off the kernel at the unit
+    ((), [[2.0]], lambda lam: A1.zero() if lam.coords[0] == 4.0 else _shift(lam)),
+], ids=["not-invertible", "moves-kernel", "unit-off-kernel", "product-in-kernel"])
+def test_wj_verify_rejects_each_condition(kernel, samples, section):
+    alg = A2 if kernel else A1
+    triple = WjTriple(kernel, tuple(alg.element(c) for c in samples), section)
+    assert wj_verify(triple) is False
+
+
 def test_wj_oracle_reconstructs_affine_map():
     triple = _scalar_triple(lambda lam: A1.element([lam.coords[0] - 1.0]))
     oracle = WjSolutionOracle(triple)

@@ -202,10 +202,44 @@ def test_analyse_sigma_invalid_report():
                                np.tile(np.linspace(0.5e6, 1.5e6, 64), (64, 1))],
                          ids=["2x2-1e8", "one-part-d64-1e6"])
 def test_factor_check_scales_with_rho(a):
-    # the cross-check's two sums differ by rounding that grows with |rho|
+    # a valid matrix stays valid however large its generators are
     rep = analyse_sigma(SigmaMatrix(a))
     assert rep.valid
     assert rep.factors == factorize(SigmaMatrix(a)).factors
+
+
+def _random_partition_matrix(rng, d: int, scale: float) -> np.ndarray:
+    """A[i, j] = g[j] where i and j share a part, else 0, over a shuffled
+    partition whose parts have generators of magnitude up to scale; about
+    one part in four has a zero generator."""
+    labels = rng.integers(0, max(1, d // 3), size=d)
+    g = scale * rng.uniform(-1.0, 1.0, size=d)
+    zero_parts = rng.uniform(size=d) < 0.25
+    g[zero_parts[labels]] = 0.0
+    return np.where(labels[:, None] == labels[None, :], g[None, :], 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e8])
+@pytest.mark.parametrize("d", [1, 2, 7, 24, 64])
+def test_factors_reproduce_the_input_matrix_operation(d, scale):
+    # x + (1 + A x) y from the input matrix, on each reported part, against
+    # x + (1 + sum over the part of g x) y with the reported generator
+    rng = np.random.default_rng(d * 1000 + int(np.log10(scale)) + 3)
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        a = _random_partition_matrix(rng, d, scale)
+        rep = analyse_sigma(SigmaMatrix(a))
+        assert rep.valid
+        covered = sorted(i for part, _ in rep.factors for i in part)
+        assert covered == list(range(1, d + 1))
+        bound = 4 * d * eps * (1.0 + 0.4 * np.max(np.sum(np.abs(a), axis=1)))
+        x = rng.uniform(-0.4, 0.4, size=(64, d))
+        y = rng.uniform(-0.4, 0.4, size=(64, d))
+        z = x + (1.0 + x @ a.T) * y
+        for part, gen in rep.factors:
+            idx = np.array(part) - 1
+            zf = x[:, idx] + (1.0 + x[:, idx] @ np.array(gen))[:, None] * y[:, idx]
+            assert np.max(np.abs(z[:, idx] - zf)) <= bound
 
 
 def test_roundtrip_idempotence():

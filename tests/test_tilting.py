@@ -1,5 +1,6 @@
 """Tilting map, exponential scale, closed-form inverse, fixed-point solver."""
 
+import cmath
 import math
 import warnings
 
@@ -309,6 +310,24 @@ def test_unboundedness_unit_norm_cases():
     rot = CanonicalSolution(complex_plane().element([0.0, 1.0]))
     u = complex_plane().element([1.0, 0.0])   # gamma(u) = i: |e^{si}| = 1
     assert unboundedness_direction(rot, u).direction is Direction.UNIT_NORM
+
+
+@pytest.mark.parametrize("re, im", [(0.01, math.pi / 20), (0.01, -math.pi / 20),
+                                    (-0.01, math.pi / 20), (-0.01, -math.pi / 20)])
+def test_unboundedness_oscillating_complex_spectrum(re, im):
+    # gamma(u) = u = z: along s -> T(su) = (e^{sz} - 1) u / z the modulus
+    # |e^{sz}| = e^{s Re z} grows on the ray of the sign of Re z, while
+    # |e^{20 z} + 1| < 1, so the tilt at 40 is shorter than at 20
+    sol = CanonicalSolution(complex_plane().element([1.0, 0.0]))
+    z = complex(re, im)
+    assert abs(cmath.exp(20 * z) + 1) < 1
+    verdict = unboundedness_direction(sol, complex_plane().element([re, im]))
+    assert verdict.direction is (Direction.PLUS_UNBOUNDED if re > 0
+                                 else Direction.MINUS_UNBOUNDED)
+    sign = 1.0 if re > 0 else -1.0
+    assert abs(cmath.exp(sign * 3000 * z) - 1) > 1e12   # the verdict's ray grows
+    assert abs(cmath.exp(-sign * 3000 * z)) < 1e-12     # the other tends to -u/z
+    assert verdict.limit_point.as_complex() == pytest.approx(-1.0, abs=1e-15)   # -u / z
 
 
 # ---------------------------------------------------------------------------
