@@ -250,9 +250,10 @@ class Element:
 
 
 # ---------------------------------------------------------------------------
-# scalar special functions on arrays of spectral points.  np.where picks the
-# Taylor series or the direct formula per point; np.errstate silences the
-# overflow or 0/0 of the branch it discards.  Overflow in a kept one gives inf.
+# scalar special functions on arrays of spectral points.  The direct formula
+# runs on every point and the Taylor series only on the points below
+# SERIES_THRESHOLD, over whose direct value it is written; np.errstate
+# silences the overflow or 0/0 there.  Overflow at a larger point gives inf.
 # ---------------------------------------------------------------------------
 
 #: Taylor coefficients for np.polyval: mu = sum z^k/(k+1)!,
@@ -262,6 +263,19 @@ _H_SERIES = [1.0 / math.factorial(k + 1) for k in range(_SERIES_TERMS, 0, -1)]
 _LOG1P_SERIES = [1.0 / (k + 1.0) for k in range(_SERIES_TERMS - 1, -1, -1)]
 
 
+def _series_below_threshold(z, direct, series) -> np.ndarray:
+    """``direct(z)``, with ``series(z)`` written over it where |z| < SERIES_THRESHOLD.
+
+    Both are elementwise, so each point gets the bits it would get alone.
+    """
+    z = np.asarray(z)
+    out = np.asarray(direct(z))
+    small = np.abs(z) < SERIES_THRESHOLD
+    if small.any():
+        out[small] = series(z[small])
+    return out
+
+
 @np.errstate(all="ignore")
 def mu_scalar(z):
     """(e^z - 1)/z with the limiting value 1 at z = 0.
@@ -269,15 +283,15 @@ def mu_scalar(z):
     Truncated Taylor series below SERIES_THRESHOLD avoids catastrophic
     cancellation in expm1(z)/z.
     """
-    return np.where(np.abs(z) < SERIES_THRESHOLD, np.polyval(_MU_SERIES, z),
-                    np.expm1(z) / z)
+    return _series_below_threshold(z, lambda z: np.expm1(z) / z,
+                                   lambda z: np.polyval(_MU_SERIES, z))
 
 
 @np.errstate(all="ignore")
 def h_scalar(z):
     """(e^z - 1 - z)/z, i.e. mu(z) - 1, stable near 0."""
-    return np.where(np.abs(z) < SERIES_THRESHOLD, np.polyval(_H_SERIES, z) * z,
-                    (np.expm1(z) - z) / z)
+    return _series_below_threshold(z, lambda z: (np.expm1(z) - z) / z,
+                                   lambda z: np.polyval(_H_SERIES, z) * z)
 
 
 @np.errstate(all="ignore")
@@ -286,9 +300,9 @@ def log1p_over_scalar(z):
 
     Requires 1 + z off (-inf, 0]; the caller checks the branch condition.
     """
-    log1p = np.log(1.0 + z) if np.iscomplexobj(z) else np.log1p(z)
-    return np.where(np.abs(z) < SERIES_THRESHOLD, np.polyval(_LOG1P_SERIES, -z),
-                    log1p / z)
+    def direct(z):
+        return (np.log(1.0 + z) if np.iscomplexobj(z) else np.log1p(z)) / z
+    return _series_below_threshold(z, direct, lambda z: np.polyval(_LOG1P_SERIES, -z))
 
 
 @np.errstate(all="ignore")

@@ -112,6 +112,7 @@ class WjSolutionOracle:
             if any((lam - known).norm() <= tol for known, _ in self._table):
                 continue
             self._table.append((lam, triple.complement_part(triple.section(lam))))
+        self._reps = np.array([rep for _, rep in self._table])
 
     def covered_values(self) -> List[Element]:
         return [lam for lam, _ in self._table]
@@ -119,10 +120,8 @@ class WjSolutionOracle:
     def eval(self, x: Element) -> Element:
         cx = self.triple.complement_part(x)
         scale = max(1.0, float(np.max(np.abs(cx))))
-        for lam, rep in self._table:
-            if float(np.max(np.abs(cx - rep))) <= self.tol * scale:
-                return lam
-        return x.algebra.zero()
+        hits = np.flatnonzero(np.abs(cx - self._reps).max(axis=1) <= self.tol * scale)
+        return self._table[hits[0]][0] if hits.size else x.algebra.zero()
 
     def gs_residual_on_covered(self, seed: int = 0) -> float:
         """Composition-law residual over 200 sampled pairs of covered points.

@@ -19,7 +19,7 @@ from .algebra import (Element, exp_ratio_scalar, growth_scalar, h_scalar,
                       log1p_over_scalar)
 from .errors import (LogBranchViolation, NoConvergence, NotInvertible,
                      NotOmegaHomogeneous)
-from .solutions import GsSolution, adjustor, gamma
+from .solutions import GsSolution, gamma, rho_of
 
 RESIDUAL_TOL = 1e-12
 MAX_ITER_DEFAULT = 200
@@ -32,33 +32,56 @@ KERNEL_EPS = 1e-12
 
 
 @np.errstate(all="ignore")
+def _gamma_and_tilt(sol: GsSolution, u: Element) -> tuple:
+    """g = gamma(u) and the tilt u (e^g - 1)/g, silently as in tilt_T."""
+    gu = gamma(sol, u)
+    return gu, u * gu.mu()
+
+
+def _lambda_scale(gu: Element, t: float) -> Element:
+    return gu.apply_scalar(lambda z: exp_ratio_scalar(z, t))
+
+
+def _tilt_path(u: Element, gu: Element, t: float) -> Element:
+    return u * gu.apply_scalar(lambda z: growth_scalar(z, t))
+
+
 def tilt_T(sol: GsSolution, u: Element) -> Element:
     """u times the tilting multiplier (e^g - 1)/g; the identity where g = 0.
 
     Where e^g overflows the result is inf (NaN at a zero of u), silently.
     """
-    return u * gamma(sol, u).mu()
+    return _gamma_and_tilt(sol, u)[1]
 
 
 def lambda_scale(sol: GsSolution, u: Element, t: float) -> Element:
     """Exponential scaling factor (e^{tg} - 1)/(e^g - 1), value t where e^g = 1."""
-    return gamma(sol, u).apply_scalar(lambda z: exp_ratio_scalar(z, t))
+    return _lambda_scale(gamma(sol, u), t)
 
 
 def tilt_path(sol: GsSolution, u: Element, t: float) -> Element:
     """The tilt at parameter t: u (e^{tg} - 1)/g, linear (t u) on the kernel."""
-    return u * gamma(sol, u).apply_scalar(lambda z: growth_scalar(z, t))
+    return _tilt_path(u, gamma(sol, u), t)
 
 
 def radiality_check(sol: GsSolution, u: Element, t_grid: Sequence[float]) -> float:
-    """Max defect of N(tilt at t) = lambda(t) * N(tilt at 1) over the grid."""
+    """Max defect of N(tilt at t) = lambda(t) * N(tilt at 1) over the grid.
+
+    g(u) and rho are computed once: each t costs one evaluation of the map.
+    """
     if any(t < 0 for t in t_grid):
         raise ValueError("t_grid must be non-negative")
-    n_t1 = adjustor(sol, tilt_T(sol, u))
+    gu, tilt = _gamma_and_tilt(sol, u)
+    unit, rho = sol.algebra.unit(), rho_of(sol)
+
+    def adjust(x: Element) -> Element:   # adjustor(sol, x), rho reused
+        return sol.eval(x) - unit - rho * x
+
+    n_t1 = adjust(tilt)
     worst = 0.0
     for t in t_grid:
-        lhs = adjustor(sol, tilt_path(sol, u, float(t)))
-        rhs = lambda_scale(sol, u, float(t)) * n_t1
+        lhs = adjust(_tilt_path(u, gu, float(t)))
+        rhs = _lambda_scale(gu, float(t)) * n_t1
         worst = max(worst, (lhs - rhs).norm())
     return worst
 
@@ -134,7 +157,8 @@ def tilt_solve_fixed_point(sol: GsSolution, v: Element,
     """
     guaranteed = v.norm() < guarantee_radius(sol)
     u = v
-    residual = (v - tilt_T(sol, u)).norm()
+    g, tilt = _gamma_and_tilt(sol, u)   # g(u) serves the residual and the next step
+    residual = (v - tilt).norm()
     if residual < RESIDUAL_TOL:
         return TiltResult(u, 0, residual, guaranteed)
     prev_step = None
@@ -144,14 +168,14 @@ def tilt_solve_fixed_point(sol: GsSolution, v: Element,
     for it in range(1, max_iter + 1):
         if not math.isfinite(residual):
             raise NoConvergence(f"non-finite residual after {it - 1} iterations")
-        hu = gamma(sol, u).apply_scalar(h_scalar)
-        u_next = v - u * hu
+        u_next = v - u * g.apply_scalar(h_scalar)
         step = (u_next - u).norm()
         if prev_step is not None and prev_step > 0.0:
             ratios.append(step / prev_step)
         prev_step = step
         u = u_next
-        residual = (v - tilt_T(sol, u)).norm()
+        g, tilt = _gamma_and_tilt(sol, u)
+        residual = (v - tilt).norm()
         if residual < RESIDUAL_TOL:
             return TiltResult(u, it, residual, guaranteed, tuple(ratios))
         growth_streak = growth_streak + 1 if residual > prev_residual else 0

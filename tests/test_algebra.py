@@ -12,8 +12,9 @@ import scalar_oracle as oracle
 from popa_algebra import (AlgebraDescriptor, AlgebraKind, ConstraintViolated,
                           DimensionMismatch, Element, LogBranchViolation,
                           NotInvertible, complex_plane, grid_interval, hadamard)
-from popa_algebra.algebra import (SERIES_THRESHOLD, exp_ratio_scalar, growth_scalar,
-                                  h_scalar, log1p_over_scalar, mu_scalar)
+from popa_algebra.algebra import (_H_SERIES, _LOG1P_SERIES, _MU_SERIES, SERIES_THRESHOLD,
+                                  exp_ratio_scalar, growth_scalar, h_scalar,
+                                  log1p_over_scalar, mu_scalar)
 from scalar_oracle import cexpm1
 
 E = math.e
@@ -150,6 +151,51 @@ def test_mu_identity_and_series_continuity():
                (math.expm1(SERIES_THRESHOLD) - SERIES_THRESHOLD) / SERIES_THRESHOLD) < 1e-12
     assert abs(log1p_over_scalar(SERIES_THRESHOLD) -
                math.log1p(SERIES_THRESHOLD) / SERIES_THRESHOLD) < 1e-12
+
+
+def _series_where(name, z):
+    """The helpers' former form: both branches on every point, np.where per point."""
+    z = np.asarray(z)
+    small = np.abs(z) < SERIES_THRESHOLD
+    with np.errstate(all="ignore"):
+        if name == "mu":
+            return np.where(small, np.polyval(_MU_SERIES, z), np.expm1(z) / z)
+        if name == "h":
+            return np.where(small, np.polyval(_H_SERIES, z) * z, (np.expm1(z) - z) / z)
+        log1p = np.log(1.0 + z) if np.iscomplexobj(z) else np.log1p(z)
+        return np.where(small, np.polyval(_LOG1P_SERIES, -z), log1p / z)
+
+
+def _series_inputs():
+    T = SERIES_THRESHOLD
+    edge = [0.0, -0.0, T, -T, np.nextafter(T, 0.0), -np.nextafter(T, 0.0),
+            np.nextafter(T, 1.0), -np.nextafter(T, 1.0), 0.5 * T, 1e-300, 5e-324,
+            math.inf, -math.inf, math.nan, 1e3, -1e3, 800.0, -800.0, 1e300, -1e300,
+            0.5, -2.0, -1.0]
+    real = np.array(edge)
+    cplx = np.array([complex(a, b) for a in edge[:12] + [math.inf, math.nan, 2.0]
+                     for b in (0.0, -0.0, T, -np.nextafter(T, 0.0), 0.6 * T, math.nan,
+                               math.inf, 3.0)])
+    rng = np.random.default_rng(7)
+    mixed = rng.standard_normal(1000) * 10.0 ** rng.uniform(-8.0, 2.5, 1000)
+    small = np.array([0.0, 1e-6, -1e-7, 0.9 * T, -np.nextafter(T, 0.0)])
+    arrays = [real, cplx, mixed, mixed + 1j * rng.permutation(mixed), small,
+              small.astype(complex) * (1 - 1j) / 2, np.array([], dtype=float)]
+    scalars = edge + [np.float64(T), np.asarray(-0.0), np.asarray(0.3 * T),
+                      np.complex128(0.2 * T + 0.1j * T), np.asarray(1.0 + 2.0j)]
+    return arrays + scalars
+
+
+@pytest.mark.parametrize("name, fn", [("mu", mu_scalar), ("h", h_scalar),
+                                      ("log1p", log1p_over_scalar)])
+def test_series_helpers_match_the_where_form_bit_for_bit(name, fn):
+    # the series now runs only at |z| < SERIES_THRESHOLD and is written over
+    # the direct value there; every output bit must be the np.where form's
+    for z in _series_inputs():
+        got, want = fn(z), _series_where(name, z)
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), z
+        assert got.tobytes() == want.tobytes(), z
 
 
 def test_cexpm1_matches_direct_formula():

@@ -457,6 +457,9 @@ OVERFLOWS = {
     # gamma_norm e^gamma_norm overflows: the guarantee radius is 0
     "solve-tilt-huge-rho": ("solve-tilt", {"solution": dict(PARTITION, rho=[1.0, 1e308]),
                                            "v": [0.01, 0.02]}, 1),
+    # rho * v overflows to gamma = -inf: the first step's residual is NaN
+    "solve-tilt-gamma-minus-inf": ("solve-tilt", {"solution": dict(CANONICAL, rho=[-2.0, 1.0]),
+                                                  "v": [1e308, 0.1]}, 1),
     # S(unit) = exp(1e308): the report's residuals are NaN
     "verify-one-exp-huge-weight": ("verify", dict(ONE_EXP, gamma_exp=1e308), 1),
     "verify-affine-power-huge-rho": ("verify", dict(AFFINE_POWER, rho=1e308), 1),

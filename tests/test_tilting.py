@@ -19,7 +19,8 @@ from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           lambda_scale, radiality_check, ratio_limit_check,
                           tilt_T, tilt_inverse, tilt_path,
                           tilt_solve_fixed_point, unboundedness_direction)
-from popa_algebra.tilting import (_finite_ratio_scalar, contraction_radius,
+from popa_algebra.algebra import h_scalar
+from popa_algebra.tilting import (RESIDUAL_TOL, _finite_ratio_scalar, contraction_radius,
                                   guarantee_radius)
 
 E = math.e
@@ -257,6 +258,86 @@ def test_solver_unguaranteed_but_converging():
     assert res.final_residual < 1e-12
 
 
+def _tilt_families(rng):
+    """One solution of each family the tilt runs on."""
+    grid = grid_interval(np.linspace(0.0, 1.0, 7))
+    return [PartitionSolution(random_partition_spec(rng, 12)),
+            PartitionSolution(random_partition_spec(rng, 7), grid),
+            CanonicalSolution(hadamard(5).element(rng.uniform(-1.0, 1.0, 5))),
+            CanonicalSolution(grid.element(rng.uniform(-1.0, 1.0, 7))),
+            CanonicalSolution(complex_plane().element(rng.uniform(-1.0, 1.0, 2))),
+            ComplexReImSolution(*rng.uniform(-1.0, 1.0, 2)),
+            one_exp_2d(0.7), exp_3d()]
+
+
+def _count_gamma(sol):
+    """Record each call of sol.gamma, which eval also goes through."""
+    calls, inner = [], sol.gamma
+
+    def counted(u):
+        calls.append(u)
+        return inner(u)
+
+    sol.gamma = counted
+    return calls
+
+
+def _radiality_composed(sol, u, t_grid):
+    n_t1 = adjustor(sol, tilt_T(sol, u))
+    return max([0.0] + [(adjustor(sol, tilt_path(sol, u, t))
+                         - lambda_scale(sol, u, t) * n_t1).norm() for t in t_grid])
+
+
+def _solve_composed(sol, v, max_iter=200):
+    u, ratios, prev_step = v, [], None
+    residual = (v - tilt_T(sol, u)).norm()
+    it = 0
+    while residual >= RESIDUAL_TOL and it < max_iter:
+        it += 1
+        u_next = v - u * gamma(sol, u).apply_scalar(h_scalar)
+        step = (u_next - u).norm()
+        if prev_step is not None and prev_step > 0.0:
+            ratios.append(step / prev_step)
+        prev_step, u = step, u_next
+        residual = (v - tilt_T(sol, u)).norm()
+    return u, it, residual, tuple(ratios)
+
+
+def test_radiality_equals_the_public_composition_exactly():
+    # g(u) and rho are computed once, with the same bits as through
+    # tilt_T, tilt_path, lambda_scale and adjustor
+    rng = np.random.default_rng(31)
+    t_grid = [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]
+    for sol in _tilt_families(rng):
+        for scale in (1e-7, 0.3, 1.0):
+            coords = rng.uniform(-1.0, 1.0, sol.algebra.dim) * scale
+            coords[0] = 0.0
+            u = sol.algebra.element(coords)
+            assert radiality_check(sol, u, t_grid) == _radiality_composed(sol, u, t_grid)
+            calls = _count_gamma(sol)
+            radiality_check(sol, u, [0.25, 0.5, 1.0, 2.0])
+            del sol.gamma
+            assert 1 <= len(calls) <= 7
+
+
+def test_solver_equals_the_public_composition_exactly():
+    # one gamma per iterate serves the residual and the next step
+    rng = np.random.default_rng(32)
+    for sol in _tilt_families(rng):
+        eta = guarantee_radius(sol)
+        for scale in (0.5 * eta, 0.9 * eta, 1e-9):
+            direction = sol.algebra.element(rng.uniform(-1.0, 1.0, sol.algebra.dim))
+            v = (scale / direction.norm()) * direction
+            u, iterations, residual, ratios = _solve_composed(sol, v)
+            calls = _count_gamma(sol)
+            res = tilt_solve_fixed_point(sol, v)
+            del sol.gamma
+            assert res.u.coords.tobytes() == u.coords.tobytes()
+            assert (res.iterations, res.final_residual, res.contraction_ratios) == (
+                iterations, residual, ratios)
+            assert len(calls) == res.iterations + 1
+
+
 def test_contraction_radius_formulas():
     sol = codependent(0.3, 0.4)
     gn = sol.gamma_norm()
@@ -378,15 +459,12 @@ def test_kernel_of_derivative_is_homogeneous_for_adjustor():
                 assert (adjustor(sol, t * v) - t * nv).norm() < 1e-9
 
 
-def test_solver_stops_at_a_non_finite_residual(monkeypatch):
-    import popa_algebra.tilting as tilting
-    calls = []
-    real = tilting.tilt_T
-    monkeypatch.setattr(tilting, "tilt_T", lambda sol, u: calls.append(1) or real(sol, u))
+def test_solver_stops_at_a_non_finite_residual():
     sol = CanonicalSolution(A2.element([1.0, 1.0]))
+    calls = _count_gamma(sol)
     with pytest.raises(NoConvergence, match="non-finite residual"):
         tilt_solve_fixed_point(sol, A2.element([math.nan, 0.1]))
-    assert len(calls) <= 2  # the starting residual and at most one iteration
+    assert len(calls) == 1  # the starting residual only: no step is taken
 
 
 def test_tilt_overflow_is_non_finite_without_warnings():
