@@ -11,8 +11,9 @@ held coordinate-major, as ``(d, rows)`` arrays: every reduction over the
 d coordinates is then elementwise on length-``rows`` vectors.  The
 solution evaluates a block itself (``GsSolution.eval_block``) and the
 algebra multiplies blocks (``AlgebraDescriptor.mul``), so the kernel
-holds no family formula; besides the outputs, its working memory is a
-few blocks.  Deterministic for a given input.
+holds no family formula.  Every array it writes is a view into one
+``_Workspace``, allocated once per worker and reused by each of its
+blocks.  Deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -28,20 +29,48 @@ def block_rows(d: int) -> int:
     return max(256, BLOCK_COORDS // d)
 
 
-def _min_spec(componentwise, S):
-    if componentwise:
-        return np.abs(S).min(axis=0)
-    return np.hypot(S[0], S[1])
+class _Workspace:
+    """The buffers of one worker's blocks of up to ``rows`` pairs.
+
+    Each buffer is flat, and a block of m pairs views its first d*m (or m)
+    entries: every view is C-contiguous, as a fresh array of its shape
+    would be, so a short last block hands BLAS the same operands too.
+    Coordinate buffers 0 and 1 hold the drawn X and Y, 2 to 7 the kernel's
+    blocks; vectors 0 to 4 are the kernel's, vector 5 its caller's.
+    """
+
+    def __init__(self, d: int, rows: int):
+        self._d = d
+        self._coords = np.empty((8, d * rows))
+        self._vectors = np.empty((6, rows))
+        self._masks = np.empty((2, rows), dtype=bool)
+
+    def blocks(self, m: int, pairs: bool = False) -> list:
+        """The coordinate buffers as (d, m) blocks, or as (m, d) arrays of pairs."""
+        shape = (m, self._d) if pairs else (self._d, m)
+        return [c[:m * self._d].reshape(shape) for c in self._coords]
+
+    def vectors(self, m: int) -> np.ndarray:
+        return self._vectors[:, :m]
+
+    def masks(self, m: int) -> np.ndarray:
+        return self._masks[:, :m]
 
 
-def _elem_norm(componentwise, V):
+def _min_spec(componentwise, S, tmp, out):
     if componentwise:
-        return np.abs(V, out=V).max(axis=0)
-    return np.hypot(V[0], V[1])
+        return np.abs(S, out=tmp).min(axis=0, out=out)
+    return np.hypot(S[0], S[1], out=out)
+
+
+def _elem_norm(componentwise, V, out):
+    if componentwise:
+        return np.abs(V, out=V).max(axis=0, out=out)
+    return np.hypot(V[0], V[1], out=out)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def residuals(sol, rho, X, Y, inv_tol):
+def residuals(sol, rho, X, Y, inv_tol, ws=None):
     """Residuals of the composition law and its adjustor equation on one block.
 
     ``X`` and ``Y`` are ``(rows, d)`` arrays of pairs and ``rho`` the
@@ -49,39 +78,53 @@ def residuals(sol, rho, X, Y, inv_tol):
     of length ``rows``; the residuals are zero wherever ``valid`` is False
     (pair rejected for leaving the group domain).
 
-    Works on (d, rows) copies of X and Y, which are left as they are.
-    Each array is dropped, or overwritten in place, once it has been read
-    for the last time, so at most six blocks are held at once.
+    Works on (d, rows) copies of X and Y, which are left as they are.  The
+    results, and every intermediate, are views into ``ws``, a
+    ``_Workspace`` for at least ``rows`` pairs (made afresh when omitted):
+    they hold until the workspace's next block.  Each block is overwritten
+    in place once it has been read for the last time, so six are enough.
     """
     alg = sol.algebra
-    mul, cw = alg.mul, alg.componentwise
+    cw = alg.componentwise
+    m = X.shape[0]
+    ws = _Workspace(alg.dim, m) if ws is None else ws
+    Xb, Yb, sx, sy, Zb, nx = ws.blocks(m)[2:]
+    spec, gs, goldie = ws.vectors(m)[:3]
+    scratch = ws.vectors(m)[3:5]
+    ok, dom = ws.masks(m)
+
+    def mul(a, b, out):
+        return alg.mul(a, b, out=out, scratch=scratch)
+
     unit = alg.unit().coords[:, None]
     rho = rho[:, None]
-    Xb = np.array(X.T, order="C")
-    Yb = np.array(Y.T, order="C")
-    sx, ok_x = sol.eval_block(Xb)
-    sy, ok_y = sol.eval_block(Yb)
-    ok = ok_x & ok_y & (_min_spec(cw, sx) > inv_tol) & (_min_spec(cw, sy) > inv_tol)
-    Zb = mul(sx, Yb)
+    np.copyto(Xb, X.T)
+    np.copyto(Yb, Y.T)
+    _, ok_x = sol.eval_block(Xb, out=sx, ok=dom)
+    np.greater(_min_spec(cw, sx, Zb, spec), inv_tol, out=ok)
+    ok &= ok_x
+    _, ok_y = sol.eval_block(Yb, out=sy, ok=dom)
+    ok &= ok_y
+    ok &= np.greater(_min_spec(cw, sy, Zb, spec), inv_tol, out=dom)
+    mul(sx, Yb, out=Zb)
     Zb += Xb
     # the adjustor N(p) = S(p) - unit - rho p at x and y
-    nx = sx - unit
+    np.subtract(sx, unit, out=nx)
     nx -= mul(rho, Xb, out=Xb)
-    del Xb
-    ny = sy - unit
+    ny = np.subtract(sy, unit, out=Xb)
     ny -= mul(rho, Yb, out=Yb)
-    del Yb
-    sz, ok_z = sol.eval_block(Zb)
-    ok = ok & ok_z
+    sz, ok_z = sol.eval_block(Zb, out=Yb, ok=dom)
+    ok &= ok_z
     t = mul(sx, sy, out=sy)
     np.subtract(sz, t, out=t)
-    gs = np.where(ok, _elem_norm(cw, t), 0.0)
-    del sy, t
+    _elem_norm(cw, t, gs)
     nz = sz
     nz -= unit
     nz -= mul(rho, Zb, out=Zb)
-    del Zb
     nz -= nx
     nz -= mul(sx, ny, out=ny)
-    goldie = np.where(ok, _elem_norm(cw, nz), 0.0)
+    _elem_norm(cw, nz, goldie)
+    rejected = np.logical_not(ok, out=dom)
+    np.copyto(gs, 0.0, where=rejected)
+    np.copyto(goldie, 0.0, where=rejected)
     return gs, goldie, ok

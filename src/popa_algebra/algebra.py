@@ -76,18 +76,24 @@ class AlgebraDescriptor:
         """True when multiplication acts coordinate by coordinate."""
         return self.kind is not AlgebraKind.COMPLEX_AS_R2
 
-    def mul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    def mul(self, a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Product of coordinate arrays of shape (d,) or (d, rows).
 
         ``a`` broadcasts against ``b``, whose shape the product has;
-        ``out`` may be ``b``.
+        ``out`` may be ``a`` or ``b``.  The complex product keeps its two
+        temporaries in the rows of ``scratch``, a (2, rows) array, when given.
         """
         if self.componentwise:
             return np.multiply(a, b, out=out)
-        re = a[0] * b[0] - a[1] * b[1]
-        im = a[0] * b[1] + a[1] * b[0]
+        re, im = (None, None) if scratch is None else scratch
+        re = np.subtract(np.multiply(a[0], b[0], out=re), np.multiply(a[1], b[1], out=im),
+                         out=re)
+        im = np.multiply(a[1], b[0], out=im)
         out = np.empty_like(b) if out is None else out
-        out[0], out[1] = re, im
+        out_im = out[1, ...]
+        # a[0] b[1] + a[1] b[0], written over a[1] or b[1] only once both are read
+        np.add(np.multiply(a[0], b[1], out=out_im), im, out=out_im)
+        out[0] = re
         return out
 
     def element(self, coords) -> "Element":

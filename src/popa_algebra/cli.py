@@ -89,16 +89,21 @@ def _cmd_classify(args) -> int:
     data = _load_json(args.input)
     if "sigma" in data:
         m = SigmaMatrix.from_json(data)
-        analysis = analyse_sigma(m, args.tol)
-        report = analysis.to_json()
-        if analysis.valid and m.dim == 2:
-            report["class"] = classify_partition_2d(analysis.partition).cls.value
-        _emit(report, args.output)
-        return 0 if analysis.valid else 1
-    sol = _load_solution(data, args.input)
-    result = classify_2d(sol, args.tol)
-    _emit(result.to_json(), args.output)
-    return 0
+    else:
+        sol = _load_solution(data, args.input)
+        try:
+            result = classify_2d(sol, args.tol)
+        except ConstraintViolated:   # a candidate matrix that is no solution
+            m = SigmaMatrix(sol.gamma_matrix())
+        else:
+            _emit(result.to_json(), args.output)
+            return 0
+    analysis = analyse_sigma(m, args.tol)
+    report = analysis.to_json()
+    if analysis.valid and m.dim == 2:
+        report["class"] = classify_partition_2d(analysis.partition).cls.value
+    _emit(report, args.output)
+    return 0 if analysis.valid else 1
 
 
 def _cmd_verify(args) -> int:

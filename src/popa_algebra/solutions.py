@@ -105,11 +105,13 @@ class GsSolution:
     def eval(self, x: Element) -> Element:
         raise NotImplementedError
 
-    def eval_block(self, Xb: np.ndarray):
+    def eval_block(self, Xb: np.ndarray, out=None, ok=None):
         """``(S, ok)``: the map on each column of a (d, rows) block of points.
 
         ``ok`` is False on points outside the map's domain, where ``S``
-        holds a placeholder, and may be the scalar True.
+        holds a placeholder, and may be the scalar True.  ``S`` is written
+        to ``out`` and a mask to ``ok`` when they are given: a (d, rows)
+        array apart from ``Xb`` and a length-rows bool array.
         """
         raise NotImplementedError
 
@@ -203,8 +205,8 @@ class LinearSolution(GsSolution):
     def omega_homogeneous(self) -> bool:
         return self._omega_homogeneous
 
-    def eval_block(self, Xb: np.ndarray):
-        out = self.gamma_matrix() @ Xb
+    def eval_block(self, Xb: np.ndarray, out=None, ok=None):
+        out = np.matmul(self.gamma_matrix(), Xb, out=out)
         out += self.algebra.unit().coords[:, None]
         return out, True
 
@@ -390,18 +392,22 @@ class DegenerateExpSolution(GsSolution):
             return M
         raise NotDifferentiable("the pure power form has no derivative at 0")
 
-    def eval_block(self, Xb: np.ndarray):
-        out = np.ones_like(Xb)
+    def eval_block(self, Xb: np.ndarray, out=None, ok=None):
+        out = np.empty_like(Xb) if out is None else out
+        out.fill(1.0)
         if self.form is DegenerateForm.ONE_EXP:
-            out[self.exp_index] = np.exp(self.weights @ Xb)
+            e = out[self.exp_index]
+            np.exp(np.matmul(self.weights, Xb, out=e), out=e)
             return out, True
+        base, power = out[self.axis], out[1 - self.axis]
         if self.form is DegenerateForm.AFFINE_POWER:
-            base = 1.0 + self.rho_coeff * Xb[self.axis]
+            np.multiply(self.rho_coeff, Xb[self.axis], out=base)
+            base += 1.0
         else:
-            base = Xb[self.axis]
-        ok = base > _DOMAIN_EPS
-        out[self.axis] = base
-        out[1 - self.axis] = np.where(ok, base, 1.0) ** self.gamma_exp
+            np.copyto(base, Xb[self.axis])
+        ok = np.greater(base, _DOMAIN_EPS, out=ok)
+        np.copyto(power, base, where=ok)   # 1 off the domain
+        power **= self.gamma_exp
         return out, ok
 
     def params_json(self) -> dict:
@@ -499,8 +505,22 @@ class GoldieResidualReport:
 
 
 def sample_box(algebra: AlgebraDescriptor, n: int, radius: float,
-               rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(-radius, radius, size=(n, algebra.dim))
+               rng: np.random.Generator, out=None) -> np.ndarray:
+    """``n`` points uniform in the box [-radius, radius)^d, as an (n, d) array.
+
+    Drawn into ``out`` when it is given.  Each coordinate is
+    ``2 radius U - radius`` with ``U = rng.random()``: the bits of
+    ``rng.uniform(-radius, radius)``, one PCG64 step each.  A radius below
+    0, or one whose width ``2 radius`` overflows, is refused.
+    """
+    width = 2.0 * radius
+    if not 0.0 <= width < math.inf:
+        raise ConstraintViolated(f"box radius must be at least 0, with a finite "
+                                 f"width 2 * radius, got {radius!r}")
+    out = rng.random((n, algebra.dim), out=out)
+    out *= width
+    out -= radius
+    return out
 
 
 def _cpu_count() -> int:
@@ -525,6 +545,10 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
     stream.  Blocks are dealt round-robin to the caller and a thread per
     further available CPU (a single block starts none); the report does not
     depend on the worker count, and the earliest failing block's error is raised.
+
+    Each worker draws and computes its blocks in one ``_kernels._Workspace``
+    and reduces each block as soon as it is computed, so a call holds a few
+    blocks per worker and a few numbers per block, whatever ``n_samples``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -539,23 +563,31 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
         # S(unit) - unit by the block's own product, not by part sums
         unit = alg.unit().coords
         rho = (unit + sol.gamma_matrix() @ unit) - unit
-    gs = np.empty(n_samples)
-    goldie = np.empty(n_samples)
-    valid = np.empty(n_samples, dtype=bool)
     rows = _kernels.block_rows(alg.dim)
     starts = range(0, n_samples, rows)
     n_workers = min(len(starts), _cpu_count())
+    # per block: valid pairs, max gs, max goldie, and the first maximum of
+    # where(valid, gs, -1), where a NaN beats any number, with its row
+    blocks = [None] * len(starts)
     failed = []
 
     def work(first: int) -> None:
+        lo = starts[first]
         try:
-            for lo in starts[first::n_workers]:
+            ws = _kernels._Workspace(alg.dim, min(rows, n_samples))
+            for b in range(first, len(starts), n_workers):
+                lo = starts[b]
                 m = min(rows, n_samples - lo)
-                X = sample_box(alg, m, box_radius, draws(lo * alg.dim))
-                Y = sample_box(alg, m, box_radius, draws((n_samples + lo) * alg.dim))
-                blk = slice(lo, lo + m)
-                gs[blk], goldie[blk], valid[blk] = _kernels.residuals(
-                    sol, rho, X, Y, GROUP_REJECT_EPS)
+                X, Y = ws.blocks(m, pairs=True)[:2]
+                sample_box(alg, m, box_radius, draws(lo * alg.dim), out=X)
+                sample_box(alg, m, box_radius, draws((n_samples + lo) * alg.dim), out=Y)
+                gs, goldie, valid = _kernels.residuals(sol, rho, X, Y, GROUP_REJECT_EPS, ws)
+                best = ws.vectors(m)[5]
+                best.fill(-1.0)
+                np.copyto(best, gs, where=valid)
+                k = int(np.argmax(best))
+                blocks[b] = (int(np.count_nonzero(valid)), np.max(gs), np.max(goldie),
+                             best[k], lo + k)
         except Exception as exc:
             failed.append((lo, exc))
 
@@ -567,13 +599,14 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
         t.join()
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
-    n_valid = int(valid.sum())
+    counts, gs_max, goldie_max, bests, best_rows = zip(*blocks)
+    n_valid = sum(counts)
     if n_valid < max(1, math.ceil(0.01 * n_samples)):
         raise DomainExhausted(f"{n_samples - n_valid} of {n_samples} samples rejected")
-    idx = int(np.argmax(np.where(valid, gs, -1.0)))
+    idx = best_rows[int(np.argmax(bests))]
     pair = tuple(alg.element(sample_box(alg, 1, box_radius, draws(k * alg.dim))[0])
                  for k in (idx, n_samples + idx))
-    return GoldieResidualReport(float(np.max(gs)), float(np.max(goldie)),
+    return GoldieResidualReport(float(np.max(gs_max)), float(np.max(goldie_max)),
                                 n_valid, pair)
 
 

@@ -78,12 +78,9 @@ def radiality_check(sol: GsSolution, u: Element, t_grid: Sequence[float]) -> flo
         return sol.eval(x) - unit - rho * x
 
     n_t1 = adjust(tilt)
-    worst = 0.0
-    for t in t_grid:
-        lhs = adjust(_tilt_path(u, gu, float(t)))
-        rhs = _lambda_scale(gu, float(t)) * n_t1
-        worst = max(worst, (lhs - rhs).norm())
-    return worst
+    defects = [(adjust(_tilt_path(u, gu, float(t))) - _lambda_scale(gu, float(t)) * n_t1).norm()
+               for t in t_grid]
+    return float(np.max(defects, initial=0.0))   # a NaN defect is NaN, not a pass
 
 
 def tilt_inverse(sol: GsSolution, v: Element) -> Element:

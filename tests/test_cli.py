@@ -82,6 +82,18 @@ def test_classify_solution_variant(tmp_path, capsys):
     assert json.loads(out)["class"] == "CoDependent"
 
 
+def test_classify_failing_candidate_prints_its_sigma_report_and_exits_one(tmp_path, capsys):
+    # the same verdict, report and exit code as the matrix given as sigma
+    matrix = [[1, 1], [1, 1.000000005]]
+    cand = _write(tmp_path, "cand.json", {"variant": "LinearCandidate", "matrix": matrix,
+                                          "algebra": HAD2})
+    code, out = _run(["classify", "--input", cand], capsys)
+    sigma = _write(tmp_path, "sigma.json", {"sigma": matrix})
+    assert (code, out) == _run(["classify", "--input", sigma], capsys)
+    assert code == 1
+    assert json.loads(out)["valid"] is False
+
+
 def test_verify_canonical(tmp_path, capsys):
     path = _write(tmp_path, "sol.json", CANONICAL)
     code, out = _run(["verify", "--input", path, "--samples", "10000",
@@ -180,6 +192,9 @@ BAD_INPUTS = {
     "verify-text-in-rho": (["verify"], dict(CANONICAL, rho=["one", 1.0]),
                            "bad solution object"),
     "verify-seed-negative": (["verify", "--seed=-1"], ONE_EXP, "--seed"),
+    # the box's width 2 * 1e308 overflows: a traceback and exit 1 before
+    "verify-box-radius-overflow": (["verify", "--box-radius", "1e308"], CANONICAL,
+                                   "box radius"),
     "report-seed-negative": (["report"], _report_with(seed=-1), "'seed'"),
     "tilt-solution-algebra-list": (["tilt"], {"solution": dict(CANONICAL, algebra=[1]),
                                               "u": [0.1, 0.2]}, "bad solution object"),

@@ -415,12 +415,12 @@ def test_verify_gs_reraises_a_worker_threads_kernel_error(workers, monkeypatch,
     real = _kernels.residuals
     on_thread = []
 
-    def failing(sol, rho, Xb, Yb, inv_tol):
+    def failing(sol, rho, Xb, Yb, inv_tol, ws=None):
         lo = place[Xb[0].tobytes()]
         on_thread.append(threading.current_thread() is not threading.main_thread())
         if lo > 0:
             raise ArithmeticError(f"block at row {lo}")
-        return real(sol, rho, Xb, Yb, inv_tol)
+        return real(sol, rho, Xb, Yb, inv_tol, ws)
 
     monkeypatch.setattr(_kernels, "residuals", failing)
     monkeypatch.setattr(solutions, "_cpu_count", lambda: workers)
@@ -429,6 +429,32 @@ def test_verify_gs_reraises_a_worker_threads_kernel_error(workers, monkeypatch,
         verify_gs(PURE_POWER, n, seed=3, box_radius=0.4)
     assert threading.active_count() == baseline
     assert any(on_thread) == (workers > 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_verify_gs_report_keeps_a_nan_from_a_later_block(workers, monkeypatch):
+    # NaN residuals only in the third of four blocks, at its rows 7 and 3:
+    # both maxima are NaN, and the worst pair is the stream's first NaN
+    rows = _kernels.block_rows(2)
+    n = 3 * rows + 5
+    X, Y = oracle.draws(n, 2, 3, 0.4)
+    place = {row.tobytes(): i for i, row in enumerate(X)}
+    real = _kernels.residuals
+
+    def nan_in_third_block(sol, rho, Xb, Yb, inv_tol, ws=None):
+        gs, goldie, valid = real(sol, rho, Xb, Yb, inv_tol, ws)
+        if place[Xb[0].tobytes()] == 2 * rows:
+            gs[[7, 3]] = np.nan
+            goldie[5] = np.nan
+        return gs, goldie, valid
+
+    monkeypatch.setattr(_kernels, "residuals", nan_in_third_block)
+    monkeypatch.setattr(solutions, "_cpu_count", lambda: workers)
+    rep = verify_gs(CanonicalSolution(A2.element([0.5, 0.3])), n, seed=3, box_radius=0.4)
+    assert math.isnan(rep.max_gs_residual)
+    assert math.isnan(rep.max_goldie_residual)
+    assert rep.worst_pair[0].coords.tobytes() == X[2 * rows + 3].tobytes()
+    assert rep.worst_pair[1].coords.tobytes() == Y[2 * rows + 3].tobytes()
 
 
 def test_verify_gs_memory_does_not_grow_with_the_samples():
@@ -443,6 +469,67 @@ def test_verify_gs_memory_does_not_grow_with_the_samples():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def test_verify_gs_peak_memory_is_the_same_at_2_and_200_blocks(monkeypatch):
+    # each worker runs its blocks through one workspace and keeps a few
+    # numbers per block, so 198 more blocks cost less than one block more
+    import tracemalloc
+    sol = PartitionSolution(PartitionSpec(((0, 2, 4), (1, 3, 5)),
+                                          np.array([0.5, -0.3, 0.2, 0.4, -0.1, 0.3])))
+    rows = _kernels.block_rows(6)
+    monkeypatch.setattr(solutions, "_cpu_count", lambda: 2)
+    verify_gs(sol, 2 * rows, seed=1, box_radius=0.4)   # what a first call sets up once
+    peaks = []
+    for n_blocks in (2, 200):
+        tracemalloc.start()
+        try:
+            verify_gs(sol, n_blocks * rows, seed=1, box_radius=0.4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < rows * 6 * 8, peaks
+
+
+@pytest.mark.parametrize("sol", variant_zoo() + [PURE_POWER, _grid64()],
+                         ids=lambda s: f"{s.variant}-d{s.algebra.dim}")
+@pytest.mark.parametrize("radius", [3.0, 1000.0])
+def test_eval_block_into_out_equals_a_fresh_block(sol, radius):
+    # radius 3 leaves the power forms' domain on part of the block, and
+    # radius 1000 overflows exp
+    d = sol.algebra.dim
+    rows = _kernels.block_rows(d)
+    for m in (1, rows + 1):
+        Xb = np.random.default_rng(m).uniform(-radius, radius, (d, m))
+        out = np.full((d, m), np.nan)
+        ok = np.arange(m) % 2 == 0
+        with np.errstate(over="ignore"):
+            want_S, want_ok = sol.eval_block(Xb)
+            got_S, got_ok = sol.eval_block(Xb, out=out, ok=ok)
+        assert got_S is out
+        assert got_S.tobytes() == want_S.tobytes()
+        assert (np.broadcast_to(got_ok, (m,)).tobytes()
+                == np.broadcast_to(want_ok, (m,)).tobytes())
+
+
+@pytest.mark.parametrize("radius", [0.4, 3.0, 1000.0, 1e-3])
+@pytest.mark.parametrize("d", [1, 2, 6, 64])
+def test_sample_box_into_out_equals_uniform(radius, d):
+    m = _kernels.block_rows(d) + 1
+    want = np.random.default_rng(7).uniform(-radius, radius, (m, d))
+    out = np.full((m, d), np.nan)
+    got = solutions.sample_box(hadamard(d), m, radius, np.random.default_rng(7), out=out)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+    fresh = solutions.sample_box(hadamard(d), m, radius, np.random.default_rng(7))
+    assert fresh.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("radius", [-0.4, 1e308, math.inf, math.nan])
+def test_sample_box_refuses_a_box_it_cannot_draw(radius):
+    # a negative radius, or a width 2 radius beyond the float range
+    with pytest.raises(ConstraintViolated, match="box radius"):
+        verify_gs(CanonicalSolution(A2.element([0.5, 0.3])), 10, box_radius=radius)
 
 
 def _summand_scale(sol, x, value):

@@ -144,10 +144,11 @@ def test_classify_invalid_candidate_is_a_constraint_violation(tmp_path, capsys):
     cand = LinearCandidate([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ConstraintViolated):
         classify_2d(cand)
+    # the CLI prints the matrix's sigma report instead, and exits 1 (it exited 2)
     path = tmp_path / "cand.json"
     path.write_text(json.dumps(cand.to_json()), encoding="utf-8")
-    assert main(["classify", "--input", str(path)]) == 2
-    assert "ConstraintViolated" in capsys.readouterr().err
+    assert main(["classify", "--input", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["valid"] is False
 
 
 def test_classify_wrong_dimension_or_kind():

@@ -143,6 +143,13 @@ def test_radiality_trivial_cases():
     assert radiality_check(can, A2.element([0.3, 0.4]), [0.0, 0.5, 1.0, 2.0]) < 1e-12
 
 
+def test_radiality_reports_a_nan_defect():
+    # the tilt of u = (1e308, 0.1) holds NaN; max(0.0, nan) kept 0.0, a pass
+    sol = CanonicalSolution(A2.element([2.0, 1.0]))
+    with np.errstate(all="ignore"):
+        assert math.isnan(radiality_check(sol, A2.element([1e308, 0.1]), [0.0, 0.5, 1.0, 2.0]))
+
+
 def test_radiality_partition_random():
     rng = np.random.default_rng(5)
     grid = [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]

@@ -5,9 +5,10 @@ up front from one ``default_rng(seed)``, then fed to the kernel in
 ``block_rows(d)`` slices, the blocks ``verify_gs`` uses (BLAS products,
 and so the residual bits, depend on the width of a block).  The streamed
 ``verify_gs`` must return the same report, bit for bit.
-``recording_kernel`` keeps the blocks that ``verify_gs`` hands the kernel,
-in the order the kernel was called; ``verify_gs`` shares its blocks among
-threads, so ``in_stream_order`` puts them back in the order of the samples.
+``recording_kernel`` keeps copies of the blocks that ``verify_gs`` hands
+the kernel, in the order the kernel was called; ``verify_gs`` shares its
+blocks among threads, so ``in_stream_order`` puts them back in the order
+of the samples.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 from popa_algebra import _kernels
 from popa_algebra.errors import DomainExhausted
 from popa_algebra.solutions import (GROUP_REJECT_EPS, GoldieResidualReport,
-                                    LinearSolution, rho_of, sample_box)
+                                    LinearSolution, rho_of)
 
 
 def draws(n_samples: int, dim: int, seed: int, box_radius: float):
@@ -33,9 +34,10 @@ def recording_kernel(mp):
     calls = []
     real = _kernels.residuals
 
-    def record(sol, rho, X, Y, inv_tol):
-        out = real(sol, rho, X, Y, inv_tol)
-        calls.append((X, Y) + out)
+    def record(sol, rho, X, Y, inv_tol, ws=None):
+        out = real(sol, rho, X, Y, inv_tol, ws)
+        # copies: verify_gs reuses its workspace, and so these arrays, block by block
+        calls.append(tuple(np.array(a) for a in (X, Y) + out))
         return out
 
     mp.setattr(_kernels, "residuals", record)
@@ -52,9 +54,7 @@ def verify_gs(sol, n_samples: int = 10000, seed: int = 0,
               box_radius: float = 0.4) -> GoldieResidualReport:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    X = sample_box(sol.algebra, n_samples, box_radius, rng)
-    Y = sample_box(sol.algebra, n_samples, box_radius, rng)
+    X, Y = draws(n_samples, sol.algebra.dim, seed, box_radius)
     rho = rho_of(sol).coords
     if isinstance(sol, LinearSolution):
         unit = sol.algebra.unit().coords
