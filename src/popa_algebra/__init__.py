@@ -26,7 +26,7 @@ _EXPORTS = {
                   "circle_inv", "circle_op", "decomposition_check",
                   "dichotomy_check", "gamma", "gamma_fd", "popa_isomorphism_check",
                   "rho_of", "solution_from_json", "verify_gs"),
-    "roots": ("StSolution", "count_roots_negative_strip", "st_roots", "xi_root"),
+    "roots": ("StSolution", "st_roots", "xi_root"),
     "special": ("WjSolutionOracle", "WjTriple", "wj_extract", "wj_verify"),
     "structure": ("SigmaMatrix", "StructureReport", "TwoDClass",
                   "TwoDClassification", "analyse_sigma", "classify_2d",

@@ -201,8 +201,8 @@ class Element:
             raise DimensionMismatch("not a complex-kind element")
         return complex(self.coords[0], self.coords[1])
 
-    def is_invertible(self, eps: float = INVERTIBILITY_EPS) -> bool:
-        return float(np.min(np.abs(self.spectrum()))) > eps
+    def is_invertible(self) -> bool:
+        return float(np.min(np.abs(self.spectrum()))) > INVERTIBILITY_EPS
 
     def invert(self) -> "Element":
         if not self.is_invertible():
@@ -318,6 +318,7 @@ def exp_ratio_scalar(z, t: float):
     return np.where(np.abs(d) < UNITY_EPS, t, np.expm1(t * z) / d)
 
 
+@np.errstate(all="ignore")
 def growth_scalar(z, t: float):
     """(e^{tz} - 1)/z, with the limiting value t at z = 0."""
     return t * mu_scalar(t * z)

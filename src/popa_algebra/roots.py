@@ -1,6 +1,14 @@
 """Roots of e^w = 1 + w in the right half plane and the boundary root xi of
 e^{-x} = x - 1: the paper's transcendental constants on the complex plane,
 in plain ``math``/``cmath``, so the CLI's ``solve-st`` and ``xi`` load no numpy.
+
+Apart from the double root 0, no root lies in the closed left half plane.
+Let w = x + iy be a root with x < 0.  The imaginary part of e^w = 1 + w
+reads e^x sin y = y.  If y != 0, then sin y != 0 and
+|y| = e^x |sin y| < |sin y| <= |y|, which is impossible.  So y = 0 and
+e^x = 1 + x, which for real x holds only at x = 0.  On the line x = 0
+the real part reads cos y = 1, so y = 2 pi k, and the imaginary part
+sin y = y leaves only y = 0.
 """
 
 from __future__ import annotations
@@ -8,12 +16,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 TWO_PI = 2.0 * math.pi
-
-#: scan step in the real coordinate when bracketing roots
-ST_SCAN_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -63,32 +68,6 @@ def st_roots(n_roots: int) -> List[StSolution]:
         roots.append(StSolution(w.real, w.imag, int(w.imag // TWO_PI),
                                 st_residual(w.real, w.imag)))
     return roots
-
-
-def count_roots_negative_strip() -> int:
-    """Brackets of the reduced system for Re w in (-xi, 0): always zero."""
-    xi = xi_root()
-    count = 0
-    x = -xi + ST_SCAN_STEP
-    f_prev = _st_gap_negative(x)
-    x += ST_SCAN_STEP
-    while x < -ST_SCAN_STEP:
-        f = _st_gap_negative(x)
-        if f_prev is not None and f is not None and (f_prev < 0.0) != (f < 0.0):
-            count += 1
-        f_prev = f
-        x += ST_SCAN_STEP
-    return count
-
-
-def _st_gap_negative(x: float) -> Optional[float]:
-    val = math.expm1(2.0 * x) - x * (2.0 + x)
-    if val < 0.0:
-        return None
-    y = math.sqrt(val)
-    if math.cos(y) <= 0.0:
-        return None
-    return math.sin(y) - math.exp(-x) * y
 
 
 def xi_root() -> float:

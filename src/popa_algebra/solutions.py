@@ -352,11 +352,8 @@ class DegenerateExpSolution(GsSolution):
                 raise ConstraintViolated("weights must vanish at the exponential component")
             self.weights = w
             self.exp_index = exp_index
-        else:
-            if d != 2:
-                raise DimensionMismatch("power forms are two-dimensional")
-            self.weights = np.zeros(d)
-            self.exp_index = 1 - self.axis
+        elif d != 2:
+            raise DimensionMismatch("power forms are two-dimensional")
 
     def eval(self, x: Element) -> Element:
         self._check_point(x)

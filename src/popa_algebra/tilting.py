@@ -258,28 +258,19 @@ def _finite_ratio_scalar(z, n: int, m: int):
     return np.where(kernel, float(m) / float(n), num / den)
 
 
-def ratio_limit_check(a: Element, t: float, n_max: int = 10000,
-                      ns: Optional[Sequence[int]] = None) -> RatioLimitResult:
+def ratio_limit_check(a: Element, t: float) -> RatioLimitResult:
     """Errors of ((1 + a/n)^{round(tn)} - 1)/((1 + a/n)^n - 1) against its limit.
 
     The limit is (e^{ta} - 1)/(e^a - 1) spectrally, with the value t at
-    spectral points where e^z = 1.  Indices default to powers of ten up to
-    n_max.
+    spectral points where e^z = 1, at n = 10, 100, 1000 and 10000.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if ns is None:
-        ns = []
-        n = 10
-        while n <= n_max:
-            ns.append(n)
-            n *= 10
-        if not ns:
-            ns = [n_max]
+    ns = (10, 100, 1000, 10000)
     limit = a.apply_scalar(lambda z: exp_ratio_scalar(z, t))
     errors = []
     for n in ns:
         m = int(round(t * n))
         approx = a.apply_scalar(lambda z: _finite_ratio_scalar(z, n, m))
         errors.append((approx - limit).norm())
-    return RatioLimitResult(tuple(int(n) for n in ns), tuple(errors), limit)
+    return RatioLimitResult(ns, tuple(errors), limit)

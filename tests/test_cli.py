@@ -278,7 +278,19 @@ def test_invert_tilt_on_a_cancelling_v_exits_one(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 1
     assert err == ""
-    assert json.loads(out, parse_constant=_reject_constant)["residual"] > 1e-9
+    # above the backward-error bound tol * |v| = 0.1, not only above tol
+    assert json.loads(out, parse_constant=_reject_constant)["residual"] > 1e-9 * 1e8
+
+
+def test_invert_tilt_gates_on_the_backward_error(tmp_path, capsys):
+    # u_1 = log(1e9 + 1) is right, and its residual is a few ulps of 1e9:
+    # far above an absolute 1e-9, within 1e-9 |v|
+    path = _write(tmp_path, "in.json", {"solution": CANONICAL, "v": [1e9, 0.2]})
+    code, out = _run(["invert-tilt", "--input", path, "--tol", "1e-9"], capsys)
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert code == 0
+    assert report["u"]["coords"][0] == pytest.approx(math.log1p(1e9), rel=1e-15)
+    assert 1e-9 < report["residual"] <= 8 * math.ulp(1e9)
 
 
 def test_solve_st(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,14 @@ def test_eval_exponential_form():
     sol = one_exp_2d(1.0)
     got = sol.eval(A2.element([1, 5])).coords
     assert np.allclose(got, [1.0, E])
+
+
+def test_eval_exponential_form_overflows_to_inf_silently():
+    # math.exp raises OverflowError at e^1000; eval gives inf, as eval_block does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = one_exp_2d(1.0).eval(A2.element([1000.0, 0.0])).coords
+    assert got.tolist() == [1.0, math.inf]
 
 
 def test_linear_constructors_match_their_closed_forms():

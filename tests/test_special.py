@@ -3,15 +3,15 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from popa_algebra import (CanonicalSolution, IdempotentSolution, InvalidTriple,
                           NotInRange, NotOrthogonalIdempotents,
                           PartitionSolution, PartitionSpec, WjSolutionOracle,
-                          WjTriple, complex_plane, count_roots_negative_strip,
-                          grid_interval, hadamard, st_roots, verify_gs, wj_extract, wj_verify,
-                          xi_root)
+                          WjTriple, complex_plane, grid_interval, hadamard,
+                          st_roots, verify_gs, wj_extract, wj_verify, xi_root)
 from popa_algebra.roots import st_residual
 
 A1, A2 = hadamard(1), hadamard(2)
@@ -78,7 +78,6 @@ def test_roots_against_independent_newton_scan():
 def test_roots_match_lambert_w_branches():
     # root k is -1 - W_{-(k+1)}(-1/e); scipy's lambertw and mpmath's
     # (at 30 digits) share no code with the library
-    import mpmath
     from scipy.special import lambertw
 
     roots = st_roots(1000)
@@ -95,8 +94,27 @@ def test_roots_match_lambert_w_branches():
             assert abs(mpmath.mpc(got.x, got.y) - exact) <= 1e-16 * abs(exact), k
 
 
+def _zeros_in_rectangle(x0, x1, y0, y1):
+    """Zeros of e^w - 1 - w inside the rectangle, by the argument principle.
+
+    (1/2 pi i) times the integral of f'/f around the boundary, each side cut
+    into pieces of length about 2 so that quad sees at most one oscillation.
+    """
+    f_ratio = lambda w: (mpmath.exp(w) - 1) / (mpmath.exp(w) - 1 - w)
+    corners = [mpmath.mpc(x0, y0), mpmath.mpc(x1, y0), mpmath.mpc(x1, y1), mpmath.mpc(x0, y1)]
+    total = 0
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        n = max(1, int(abs(b - a) / 2))
+        total += mpmath.quad(f_ratio, [a + (b - a) * k / n for k in range(n + 1)])
+    return complex(total / (2j * mpmath.pi))
+
+
 def test_no_roots_with_negative_real_part():
-    assert count_roots_negative_strip() == 0
+    # the roots module docstring proves it; this count shares no code with it
+    assert abs(_zeros_in_rectangle(-1.3, -1e-3, -60.0, 60.0)) < 1e-9
+    above = sum(r.y < 60.0 for r in st_roots(20))
+    assert above == 9
+    assert abs(_zeros_in_rectangle(1e-3, 5.0, 1.0, 60.0) - above) < 1e-9
 
 
 def test_damping_ratio_increases_to_one():

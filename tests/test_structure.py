@@ -1,6 +1,7 @@
 """Coefficient-matrix validation, partition recovery, kernels, factorization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def test_kernel_subspace_dimensions():
     assert abs(abs(v @ np.array([1, -1]) / np.sqrt(2)) - 1.0) < 1e-12
     assert kernel_subspace(SigmaMatrix([[1, 0], [0, 1]])) == []
     assert len(kernel_subspace(SigmaMatrix(np.zeros((2, 2))))) == 2
+
+
+def test_null_space_rescales_when_the_largest_singular_value_overflows():
+    a = np.full((2, 2), 1e308)
+    assert np.linalg.svd(a, compute_uv=False)[0] == np.inf   # the case under test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = structure.null_space_basis(a)
+    assert basis.shape == (1, 2)
+    assert np.allclose(basis[0] * np.sign(basis[0, 0]), [2 ** -0.5, -2 ** -0.5], rtol=0, atol=1e-15)
 
 
 def test_kernel_vectors_fix_the_unit_image():
