@@ -30,8 +30,7 @@ _EXPORTS = {
     "special": ("WjSolutionOracle", "WjTriple", "wj_extract", "wj_verify"),
     "structure": ("SigmaMatrix", "StructureReport", "TwoDClass",
                   "TwoDClassification", "analyse_sigma", "classify_2d",
-                  "factorize", "kernel_subspace", "recover_partition",
-                  "validate_sigma"),
+                  "recover_partition"),
     "tilting": ("Direction", "RatioLimitResult", "TiltResult",
                 "UnboundednessVerdict", "lambda_scale", "radiality_check",
                 "ratio_limit_check", "tilt_T", "tilt_inverse", "tilt_path",

@@ -87,7 +87,7 @@ def _cmd_classify(args) -> int:
     from .structure import (SigmaMatrix, analyse_sigma, classify_2d,
                             classify_partition_2d)
     data = _load_json(args.input)
-    if "sigma" in data:
+    if "sigma" in data and "variant" not in data:   # an IdempotentBuilt solution has a 'sigma'
         m = SigmaMatrix.from_json(data)
     else:
         sol = _load_solution(data, args.input)

@@ -13,7 +13,7 @@ import numpy as np
 from .algebra import AlgebraDescriptor, Element
 from .errors import InvalidTriple, NotInRange
 from .solutions import GsSolution
-from .structure import null_space_basis
+from .structure import RANK_REL_THRESHOLD, _svd_rank, null_space_basis
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class WjTriple:
         if not self.kernel_basis:
             k = np.zeros((0, self.algebra.dim))
         else:
-            raw = np.array([e.coords for e in self.kernel_basis])
-            q, _ = np.linalg.qr(raw.T)
-            k = q.T[: np.linalg.matrix_rank(raw)]
+            rank, vt = _svd_rank(np.array([e.coords for e in self.kernel_basis]),
+                                 compute_uv=True)
+            k = vt[:rank]
         k.flags.writeable = False
         return k
 
@@ -164,7 +164,7 @@ def wj_extract(sol: GsSolution, lambda_samples: Sequence[Element],
     alg = sol.algebra
     unit = alg.unit()
     basis = [alg.element(v) for v in null_space_basis(M)]
-    pinv = np.linalg.pinv(M)
+    pinv = np.linalg.pinv(M, rcond=RANK_REL_THRESHOLD)
 
     def section(lam: Element) -> Element:
         target = (lam - unit).coords

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _read
-from .algebra import Element, hadamard
+from .algebra import hadamard
 from .errors import ConstraintViolated, UnsupportedDimension
 from .solutions import GsSolution, PartitionSpec
 
@@ -92,9 +92,13 @@ def _components(adj: np.ndarray) -> List[List[int]]:
 
 
 def _structure(a: np.ndarray, tol: float) -> Tuple[bool, Optional[PartitionSpec]]:
-    """(valid, spec) for validate_sigma and recover_partition: spec is the
-    partition, or None when a row disagrees with its part's first row
+    """(valid, spec) for recover_partition and analyse_sigma: valid is False
+    when a coupled pair of rows disagrees, and spec is the partition, or None
+    when the matrix is invalid or a row disagrees with its part's first row
     (coupled rows agree pairwise but drift along a chain).
+
+    Rows i and j agree when max|a_i - a_j| <= tol * max(1, max|a_i|, max|a_j|).
+    A negative tol fails every matrix; a NaN tol couples nothing.
 
     The parts are the components of the coupling graph: when it is a union
     of cliques (no zero generators), each row's first coupled index labels
@@ -141,16 +145,6 @@ def _structure(a: np.ndarray, tol: float) -> Tuple[bool, Optional[PartitionSpec]
     return True, PartitionSpec(parts, a[lab, np.arange(d)])
 
 
-def validate_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> bool:
-    """True iff every entry above tol couples two rows that agree entrywise.
-
-    Rows i and j agree when max|a_i - a_j| <= tol * max(1, max|a_i|, max|a_j|).
-    A negative tol couples each row with itself and no row agrees with
-    itself, so every non-empty matrix fails; a NaN tol couples nothing.
-    """
-    return _structure(m.entries, tol)[0]
-
-
 def recover_partition(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> PartitionSpec:
     """Extract the coordinate partition and generator vector of a valid matrix."""
     valid, spec = _structure(m.entries, tol)
@@ -161,27 +155,28 @@ def recover_partition(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> Partition
     return spec
 
 
-def _kernel_elements(a: np.ndarray) -> List[Element]:
-    alg = hadamard(a.shape[0])
-    return [alg.element(v) for v in null_space_basis(a)]
+def _svd_rank(a: np.ndarray, compute_uv: bool = False) -> Tuple[int, Optional[np.ndarray]]:
+    """(rank, vt): the count of singular values above RANK_REL_THRESHOLD times
+    the largest, and the right singular vectors when compute_uv, else None.
 
+    When the largest singular value overflows, a / max|a| is decomposed
+    instead: it has the same rank and singular vectors.
+    """
+    def svd(b):
+        out = np.linalg.svd(b, compute_uv=compute_uv)
+        return (out[1], out[2]) if compute_uv else (out, None)
 
-def kernel_subspace(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> List[Element]:
-    """Orthonormal basis of the null space, as elements of the d-dim algebra."""
-    if not validate_sigma(m, tol):
-        raise ConstraintViolated("matrix fails the row-coupling constraint")
-    return _kernel_elements(m.entries)
+    s, vt = svd(a)
+    if not np.isfinite(s[0]):
+        s, vt = svd(a / np.max(np.abs(a)))
+    return int(np.sum(s > RANK_REL_THRESHOLD * s[0])), vt
 
 
 def null_space_basis(a: np.ndarray) -> np.ndarray:
     """Rows spanning null(a), via rank-revealing SVD."""
     if not np.any(a):
         return np.eye(a.shape[0])
-    _, s, vt = np.linalg.svd(a)
-    if not np.isfinite(s[0]):
-        # the largest singular value overflowed; a / max|a| has the same null space
-        _, s, vt = np.linalg.svd(a / np.max(np.abs(a)))
-    rank = int(np.sum(s > RANK_REL_THRESHOLD * s[0]))
+    rank, vt = _svd_rank(a, compute_uv=True)
     return vt[rank:]
 
 
@@ -248,30 +243,24 @@ class StructureReport:
         return out
 
 
-def factorize(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureReport:
-    """Split the induced group into independent per-part factors.
+def analyse_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureReport:
+    """The structure of a coefficient matrix, from one pass over its rows.
 
-    Each part carries the generator row restricted to it: on the part the
-    operation is x + (1 + sum of x * rho over the part) y.
+    A valid matrix reports its partition, an orthonormal basis of its null
+    space, and one factor per part: the part with the generator row
+    restricted to it, on which the operation is
+    x + (1 + sum of x * rho over the part) y.  A matrix that fails the
+    row-coupling constraint, or whose parts' rows disagree, reports
+    valid=False and its kernel dimension alone.  Either way the kernel
+    dimension is d minus the rank that _svd_rank reveals.
     """
-    return _factorize(m.entries, recover_partition(m, tol))
-
-
-def _factorize(a: np.ndarray, spec: PartitionSpec) -> StructureReport:
-    basis = _kernel_elements(a)
+    a = m.entries
+    spec = _structure(a, tol)[1]
+    if spec is None:
+        return StructureReport(False, None, (), m.dim - _svd_rank(a)[0], ())
+    alg = hadamard(m.dim)
+    basis = tuple(alg.element(v) for v in null_space_basis(a))
     rho = spec.rho.tolist()
     factors = tuple((tuple(i + 1 for i in part), tuple(rho[j] for j in part))
                     for part in spec.parts)
-    return StructureReport(True, spec, tuple(basis), len(basis), factors)
-
-
-def analyse_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureReport:
-    """Non-raising wrapper: a matrix that fails the row-coupling constraint,
-    or whose parts' rows disagree, yields a report with valid=False."""
-    spec = _structure(m.entries, tol)[1]
-    if spec is None:
-        rank = np.linalg.matrix_rank(m.entries)
-        if rank == 0 and np.any(m.entries):   # only when the largest singular value overflows
-            rank = np.linalg.matrix_rank(m.entries / np.max(np.abs(m.entries)))
-        return StructureReport(False, None, (), m.dim - int(rank), ())
-    return _factorize(m.entries, spec)
+    return StructureReport(True, spec, basis, len(basis), factors)

@@ -12,12 +12,11 @@ from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           DegenerateExpSolution, DegenerateForm,
                           IdempotentSolution, InvalidTriple, LinearCandidate,
                           PartitionSolution, PartitionSpec, SigmaMatrix,
-                          WjSolutionOracle, WjTriple, adjustor, dichotomy_check,
-                          gamma, hadamard, kernel_subspace, lambda_scale,
+                          WjSolutionOracle, WjTriple, adjustor, analyse_sigma,
+                          dichotomy_check, gamma, hadamard, lambda_scale,
                           radiality_check, ratio_limit_check, rho_of, st_roots,
                           tilt_T, tilt_inverse, tilt_solve_fixed_point,
-                          validate_sigma, verify_gs, wj_extract, wj_verify,
-                          xi_root)
+                          verify_gs, wj_extract, wj_verify, xi_root)
 from popa_algebra.tilting import guarantee_radius
 from conftest import perturbed_sigma, random_partition_spec
 
@@ -68,13 +67,13 @@ def test_criterion_2_matrix_soundness_and_rejection():
     for _ in range(50):
         spec = random_partition_spec(rng, int(rng.integers(2, 7)))
         m = SigmaMatrix(spec.sigma_matrix())
-        assert validate_sigma(m)
+        assert analyse_sigma(m).valid
         rep = verify_gs(PartitionSolution(spec), 10000, seed=7)
         assert rep.max_gs_residual < 1e-10
         worst_valid = max(worst_valid, rep.max_gs_residual)
 
         bad = perturbed_sigma(rng, spec, min_margin=1e-3)
-        assert not validate_sigma(bad)
+        assert not analyse_sigma(bad).valid
         bad_rep = verify_gs(LinearCandidate(bad.entries), 10000, seed=7)
         assert bad_rep.max_gs_residual > 1e-6
         worst_reject = min(worst_reject, bad_rep.max_gs_residual)
@@ -338,7 +337,7 @@ def test_criterion_11_kernel_characterization():
         spec = random_partition_spec(rng, int(rng.integers(2, 7)))
         sol = PartitionSolution(spec)
         m = SigmaMatrix(spec.sigma_matrix())
-        for v in kernel_subspace(m):
+        for v in analyse_sigma(m).kernel_basis:
             nv = adjustor(sol, v)
             for t in np.linspace(-2.0, 2.0, 9):
                 worst = max(worst, (sol.eval(t * v)

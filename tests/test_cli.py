@@ -94,6 +94,17 @@ def test_classify_failing_candidate_prints_its_sigma_report_and_exits_one(tmp_pa
     assert json.loads(out)["valid"] is False
 
 
+def test_classify_reads_a_bare_idempotent_solution_as_a_solution(tmp_path, capsys):
+    # its functional is a field named 'sigma'; it exited 2 as a bad sigma matrix
+    sol = {"variant": "IdempotentBuilt", "idempotents": [[1, 0], [0, 1]],
+           "sigma": [0.5, 0.25], "algebra": HAD2}
+    code, out = _run(["classify", "--input", _write(tmp_path, "bare.json", sol)], capsys)
+    wrapped = _write(tmp_path, "wrapped.json", {"solution": sol})
+    assert (code, out) == _run(["classify", "--input", wrapped], capsys)
+    assert code == 0
+    assert json.loads(out)["class"] == "Independent"
+
+
 def test_verify_canonical(tmp_path, capsys):
     path = _write(tmp_path, "sol.json", CANONICAL)
     code, out = _run(["verify", "--input", path, "--samples", "10000",

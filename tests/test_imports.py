@@ -30,7 +30,7 @@ EXPORTS = {
     "roots": "StSolution st_roots xi_root",
     "special": "WjSolutionOracle WjTriple wj_extract wj_verify",
     "structure": "SigmaMatrix StructureReport TwoDClass TwoDClassification analyse_sigma "
-                 "classify_2d factorize kernel_subspace recover_partition validate_sigma",
+                 "classify_2d recover_partition",
     "tilting": "Direction RatioLimitResult TiltResult UnboundednessVerdict lambda_scale "
                "radiality_check ratio_limit_check tilt_T tilt_inverse tilt_path "
                "tilt_solve_fixed_point unboundedness_direction",

@@ -179,6 +179,16 @@ def test_wj_verify_rejects_each_condition(kernel, samples, section):
     assert wj_verify(triple) is False
 
 
+def test_kernel_matrix_spans_a_repeated_basis():
+    # the kernel is span{e1, e3}; an unpivoted QR cut at rank 2 spanned {e1, e2}
+    a3 = hadamard(3)
+    e1, e3 = a3.element([1.0, 0.0, 0.0]), a3.element([0.0, 0.0, 1.0])
+    triple = WjTriple((e1, e1, e3), (a3.unit(),), _shift)
+    assert triple.kernel_matrix.shape == (2, 3)
+    assert np.all(triple.complement_part(e3) == 0.0)
+    assert np.all(triple.complement_part(e1) == 0.0)
+
+
 def test_wj_oracle_reconstructs_affine_map():
     triple = _scalar_triple(lambda lam: A1.element([lam.coords[0] - 1.0]))
     oracle = WjSolutionOracle(triple)

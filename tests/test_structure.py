@@ -12,9 +12,8 @@ from popa_algebra import structure
 from popa_algebra import (ConstraintViolated, LinearCandidate,
                           PartitionSolution, PartitionSpec, SigmaMatrix,
                           TwoDClass, UnsupportedDimension, analyse_sigma,
-                          classify_2d, factorize, grid_interval, hadamard,
-                          kernel_subspace, recover_partition, validate_sigma,
-                          verify_gs)
+                          classify_2d, grid_interval, hadamard,
+                          recover_partition, verify_gs)
 from popa_algebra import CanonicalSolution, ComplexReImSolution
 from popa_algebra import DegenerateExpSolution, DegenerateForm
 from popa_algebra import IdempotentSolution
@@ -25,10 +24,10 @@ A2 = hadamard(2)
 
 
 def test_validate_examples():
-    assert validate_sigma(SigmaMatrix([[1, 2], [1, 2]]))
-    assert validate_sigma(SigmaMatrix([[1, 0], [0, 2]]))
-    assert not validate_sigma(SigmaMatrix([[1, 2], [3, 4]]))
-    assert validate_sigma(SigmaMatrix(np.zeros((3, 3))))
+    assert analyse_sigma(SigmaMatrix([[1, 2], [1, 2]])).valid
+    assert analyse_sigma(SigmaMatrix([[1, 0], [0, 2]])).valid
+    assert not analyse_sigma(SigmaMatrix([[1, 2], [3, 4]])).valid
+    assert analyse_sigma(SigmaMatrix(np.zeros((3, 3)))).valid
 
 
 def test_recover_partition_examples():
@@ -61,12 +60,35 @@ def test_recover_partition_zero_rows_are_trivial_parts():
 
 
 def test_kernel_subspace_dimensions():
-    basis = kernel_subspace(SigmaMatrix([[1, 1], [1, 1]]))
+    basis = analyse_sigma(SigmaMatrix([[1, 1], [1, 1]])).kernel_basis
     assert len(basis) == 1
     v = basis[0].coords
     assert abs(abs(v @ np.array([1, -1]) / np.sqrt(2)) - 1.0) < 1e-12
-    assert kernel_subspace(SigmaMatrix([[1, 0], [0, 1]])) == []
-    assert len(kernel_subspace(SigmaMatrix(np.zeros((2, 2))))) == 2
+    assert analyse_sigma(SigmaMatrix([[1, 0], [0, 1]])).kernel_basis == ()
+    assert len(analyse_sigma(SigmaMatrix(np.zeros((2, 2)))).kernel_basis) == 2
+
+
+def test_nearly_rank_one_invalid_matrix_has_a_kernel():
+    # s1 / s0 is 4e-11, below RANK_REL_THRESHOLD: the matrix has rank 1
+    rep = analyse_sigma(SigmaMatrix([[1, 2], [2, 4 + 1e-9]]))
+    assert not rep.valid
+    assert rep.kernel_dim == 1
+
+
+@pytest.mark.parametrize("a, kernel_dim", [
+    ([[1e308, -1e308], [1e308, 1e308]], 0),          # the largest singular value is 1.4e308
+    ([[1e308, 1e308], [1e308, 9e307]], 0),           # ... and here it overflows
+    ([[1.2e308, 1.2e308], [0.6e308, 0.6e308]], 1),
+], ids=["opposite-rows", "full-rank-overflow", "rank-one-overflow"])
+def test_invalid_matrix_near_the_float_maximum(a, kernel_dim):
+    a = np.array(a)
+    s = np.linalg.svd(a / np.max(np.abs(a)), compute_uv=False)
+    assert kernel_dim == 2 - int(np.sum(s > 1e-10 * s[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = analyse_sigma(SigmaMatrix(a))
+    assert not rep.valid
+    assert rep.kernel_dim == kernel_dim
 
 
 def test_null_space_rescales_when_the_largest_singular_value_overflows():
@@ -85,7 +107,7 @@ def test_kernel_vectors_fix_the_unit_image():
         spec = random_partition_spec(rng, int(rng.integers(2, 7)))
         m = SigmaMatrix(spec.sigma_matrix())
         sol = PartitionSolution(spec)
-        for v in kernel_subspace(m):
+        for v in analyse_sigma(m).kernel_basis:
             for t in (-1.0, -0.5, 0.5, 1.0):
                 assert (sol.eval(t * v) - sol.algebra.unit()).norm() < 1e-9
 
@@ -170,23 +192,23 @@ def test_classify_wrong_dimension_or_kind():
 
 
 def test_factorize_examples():
-    rep = factorize(SigmaMatrix([[1, 2, 0], [1, 2, 0], [0, 0, 3]]))
+    rep = analyse_sigma(SigmaMatrix([[1, 2, 0], [1, 2, 0], [0, 0, 3]]))
     assert [f[0] for f in rep.factors] == [(1, 2), (3,)]
     assert [f[1] for f in rep.factors] == [(1.0, 2.0), (3.0,)]
     assert rep.kernel_dim == 1
     assert sum(len(f[0]) for f in rep.factors) == 3
 
-    rep = factorize(SigmaMatrix(np.diag([1.0, 2.0, 3.0])))
+    rep = analyse_sigma(SigmaMatrix(np.diag([1.0, 2.0, 3.0])))
     assert len(rep.factors) == 3
 
-    rep = factorize(SigmaMatrix(np.ones((3, 3))))
+    rep = analyse_sigma(SigmaMatrix(np.ones((3, 3))))
     assert len(rep.factors) == 1
     assert len(rep.factors[0][0]) == 3
 
 
 def test_factor_groups_satisfy_scalar_axioms():
     # each factor is a scalar-generator group: check assoc/identity/inverse
-    rep = factorize(SigmaMatrix([[1, 2, 0], [1, 2, 0], [0, 0, 3]]))
+    rep = analyse_sigma(SigmaMatrix([[1, 2, 0], [1, 2, 0], [0, 0, 3]]))
     rng = np.random.default_rng(3)
     for part, gen in rep.factors:
         gen = np.array(gen)
@@ -217,7 +239,9 @@ def test_factor_check_scales_with_rho(a):
     # a valid matrix stays valid however large its generators are
     rep = analyse_sigma(SigmaMatrix(a))
     assert rep.valid
-    assert rep.factors == factorize(SigmaMatrix(a)).factors
+    spec = recover_partition(SigmaMatrix(a))
+    assert rep.factors == tuple((tuple(i + 1 for i in part), tuple(spec.rho[j] for j in part))
+                                for part in spec.parts)
 
 
 def _random_partition_matrix(rng, d: int, scale: float) -> np.ndarray:
@@ -259,7 +283,7 @@ def test_roundtrip_idempotence():
     for _ in range(25):
         spec = random_partition_spec(rng, int(rng.integers(1, 7)))
         m = SigmaMatrix(spec.sigma_matrix())
-        assert validate_sigma(m)
+        assert analyse_sigma(m).valid
         rec = recover_partition(m)
         m2 = SigmaMatrix(rec.sigma_matrix())
         assert np.allclose(m.entries, m2.entries)
@@ -274,7 +298,8 @@ def test_soundness_small():
         spec = random_partition_spec(rng, 4)
         assert verify_gs(PartitionSolution(spec), 2000, seed=1).max_gs_residual < 1e-10
         bad = perturbed_sigma(rng, spec)
-        assert not validate_sigma(bad)
+        with pytest.raises(ConstraintViolated, match="row-coupling"):
+            recover_partition(bad)
         cand = LinearCandidate(bad.entries)
         assert verify_gs(cand, 2000, seed=1).max_gs_residual > 1e-6
 
@@ -297,7 +322,7 @@ def test_grid_solutions():
 
 
 def test_structure_report_json():
-    rep = factorize(SigmaMatrix([[1, 2], [1, 2]]))
+    rep = analyse_sigma(SigmaMatrix([[1, 2], [1, 2]]))
     blob = rep.to_json()
     assert blob["valid"] is True
     assert blob["partition"] == [[1, 2]]
@@ -319,10 +344,9 @@ def test_each_request_validates_once(monkeypatch, tmp_path, capsys):
         calls.clear()
         analyse_sigma(SigmaMatrix(a), tol)
         assert len(calls) == 1
-    for request in (validate_sigma, recover_partition, kernel_subspace, factorize):
-        calls.clear()
-        request(SigmaMatrix(np.ones((5, 5))))
-        assert len(calls) == 1, request.__name__
+    calls.clear()
+    recover_partition(SigmaMatrix(np.ones((5, 5))))
+    assert len(calls) == 1
     calls.clear()
     classify_2d(PartitionSolution(PartitionSpec(((0, 1),), [1.0, 2.0])))
     assert len(calls) == 1
@@ -347,7 +371,6 @@ def _outcome(recover, m, tol):
 
 
 def _agrees_with_oracle(m, tol):
-    assert validate_sigma(m, tol) == oracle.validate_sigma(m, tol)
     assert _outcome(recover_partition, m, tol) == _outcome(oracle.recover_partition, m, tol)
 
 
@@ -393,6 +416,16 @@ def test_validation_and_partition_match_plain_loops(seed, d, kind, tol):
     _agrees_with_oracle(_sigma_case(seed, d, kind, tol), tol)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2**32 - 1), d=hst.integers(1, 40),
+       kind=hst.sampled_from(KINDS), tol=hst.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+def test_kernel_dim_counts_the_small_singular_values(seed, d, kind, tol):
+    # valid or not, a singular value at most 1e-10 times the largest is zero
+    m = _sigma_case(seed, d, kind, tol)
+    s = np.linalg.svd(m.entries, compute_uv=False)
+    assert analyse_sigma(m, tol).kernel_dim == d - int(np.sum(s > 1e-10 * s[0]))
+
+
 def _count_bfs(monkeypatch):
     found = []
     real = structure._components
@@ -415,8 +448,8 @@ def test_both_component_paths_match_plain_loops(monkeypatch):
             _agrees_with_oracle(_sigma_case(seed, 30, kind, 1e-6), 1e-6)
         if kind == "valid":
             assert not found
-        elif kind == "chain":   # validate_sigma and recover_partition: one search each
-            assert len(found) == 2 * 20
+        elif kind == "chain":   # one search per matrix
+            assert len(found) == 20
         elif kind == "zero-generators":
             assert found
 
@@ -465,7 +498,8 @@ def test_broken_pair_at_each_block_boundary():
         # rows i and j each lie 1.5 tol from the rest but 3 tol from each other
         a[i, 0] += 1.5 * tol
         a[j, 0] -= 1.5 * tol
-        assert not validate_sigma(SigmaMatrix(a), tol), k
+        with pytest.raises(ConstraintViolated, match="row-coupling"):
+            recover_partition(SigmaMatrix(a), tol)
         assert not oracle.validate_sigma(SigmaMatrix(a), tol), k
         a[j, 0] = rho[0]
-        assert validate_sigma(SigmaMatrix(a), tol), k
+        recover_partition(SigmaMatrix(a), tol)

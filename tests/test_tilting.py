@@ -456,12 +456,12 @@ def test_ratio_limit_singular_intermediate():
 
 def test_kernel_of_derivative_is_homogeneous_for_adjustor():
     rng = np.random.default_rng(8)
-    from popa_algebra.structure import SigmaMatrix, kernel_subspace
+    from popa_algebra.structure import SigmaMatrix, analyse_sigma
     from conftest import random_partition_spec
     for _ in range(10):
         spec = random_partition_spec(rng, int(rng.integers(2, 6)))
         sol = PartitionSolution(spec)
-        for v in kernel_subspace(SigmaMatrix(spec.sigma_matrix())):
+        for v in analyse_sigma(SigmaMatrix(spec.sigma_matrix())).kernel_basis:
             nv = adjustor(sol, v)
             for t in np.linspace(-2, 2, 9):
                 assert (sol.eval(t * v) - sol.algebra.unit()).norm() < 1e-9
