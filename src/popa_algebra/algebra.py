@@ -11,7 +11,6 @@ may be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -38,43 +37,66 @@ class AlgebraKind(str, Enum):
     GRID_C_INTERVAL = "GridCInterval"
 
 
-@dataclass(frozen=True)
-class AlgebraDescriptor:
+class _Frozen:
+    """Base of the value types: each attribute is set once, in the constructor,
+    through ``object.__setattr__`` or its slot's descriptor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AlgebraDescriptor(_Frozen):
     """Which algebra an element lives in.
 
     ``grid`` is only meaningful for ``GridCInterval``: strictly increasing
-    sample abscissae in [0, 1], one per coordinate.
+    sample abscissae in [0, 1], one per coordinate.  ``componentwise`` is
+    True when multiplication acts coordinate by coordinate.
     """
 
-    kind: AlgebraKind
-    dim: int
-    grid: Optional[tuple] = None
+    __slots__ = ("kind", "dim", "grid", "componentwise")
 
-    def __post_init__(self):
-        kind = AlgebraKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if self.dim < 1:
-            raise DimensionMismatch(f"dim must be >= 1, got {self.dim}")
-        if kind is AlgebraKind.COMPLEX_AS_R2 and self.dim != 2:
+    def __init__(self, kind: AlgebraKind, dim: int, grid: Optional[tuple] = None):
+        kind = AlgebraKind(kind)
+        if dim < 1:
+            raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+        if kind is AlgebraKind.COMPLEX_AS_R2 and dim != 2:
             raise DimensionMismatch("ComplexAsR2 requires dim == 2")
         if kind is AlgebraKind.GRID_C_INTERVAL:
-            if self.grid is None:
+            if grid is None:
                 raise DimensionMismatch("GridCInterval requires a grid")
-            grid = tuple(float(t) for t in self.grid)
-            if len(grid) != self.dim:
+            grid = tuple(float(t) for t in grid)
+            if len(grid) != dim:
                 raise DimensionMismatch("grid length must equal dim")
             if not all(0.0 <= t <= 1.0 for t in grid):
                 raise DimensionMismatch("grid abscissae must lie in [0, 1]")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise DimensionMismatch("grid must be strictly increasing")
-            object.__setattr__(self, "grid", grid)
-        elif self.grid is not None:
-            object.__setattr__(self, "grid", None)
+        else:
+            grid = None
+        for name, value in (("kind", kind), ("dim", dim), ("grid", grid),
+                            ("componentwise", kind is not AlgebraKind.COMPLEX_AS_R2)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def componentwise(self) -> bool:
-        """True when multiplication acts coordinate by coordinate."""
-        return self.kind is not AlgebraKind.COMPLEX_AS_R2
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, AlgebraDescriptor):
+            return NotImplemented
+        return (self.kind, self.dim, self.grid) == (other.kind, other.dim, other.grid)
+
+    def __hash__(self):
+        return hash((self.kind, self.dim, self.grid))
+
+    def __reduce__(self):   # copy and pickle through the constructor
+        return AlgebraDescriptor, (self.kind, self.dim, self.grid)
+
+    def __repr__(self):
+        return f"AlgebraDescriptor({self.kind.value!r}, {self.dim}, {self.grid!r})"
 
     def mul(self, a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Product of coordinate arrays of shape (d,) or (d, rows).
@@ -133,49 +155,63 @@ def grid_interval(grid: Sequence[float]) -> AlgebraDescriptor:
     return AlgebraDescriptor(AlgebraKind.GRID_C_INTERVAL, len(grid), grid)
 
 
-@dataclass(frozen=True)
-class Element:
-    """A point of a concrete algebra: coordinate vector plus descriptor."""
+class Element(_Frozen):
+    """A point of a concrete algebra: coordinate vector plus descriptor.
 
-    coords: np.ndarray
-    algebra: AlgebraDescriptor
+    The constructor copies ``coords`` and makes the copy read-only.  Two
+    elements are equal when they share the algebra and their coordinates
+    are ``np.array_equal``; elements are not hashable.
+    """
 
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=float, copy=True)
-        if coords.shape != (self.algebra.dim,):
+    __slots__ = ("coords", "algebra")
+
+    def __init__(self, coords, algebra: AlgebraDescriptor):
+        coords = np.array(coords, dtype=float, copy=True)
+        if coords.shape != (algebra.dim,):
             raise DimensionMismatch(
-                f"coords shape {coords.shape} does not match dim {self.algebra.dim}")
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
+                f"coords shape {coords.shape} does not match dim {algebra.dim}")
+        coords.setflags(write=False)
+        _set_coords(self, coords)
+        _set_algebra(self, algebra)
+
+    def __eq__(self, other):
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self.algebra == other.algebra and np.array_equal(self.coords, other.coords)
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return Element, (self.coords, self.algebra)
 
     # -- ring structure -------------------------------------------------
 
     def _check_same(self, other: "Element"):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise DimensionMismatch("operands belong to different algebras")
 
     def __add__(self, other: "Element") -> "Element":
         self._check_same(other)
-        return Element(self.coords + other.coords, self.algebra)
+        return _adopt(self.coords + other.coords, self.algebra)
 
     def __sub__(self, other: "Element") -> "Element":
         self._check_same(other)
-        return Element(self.coords - other.coords, self.algebra)
+        return _adopt(self.coords - other.coords, self.algebra)
 
     def __neg__(self) -> "Element":
-        return Element(-self.coords, self.algebra)
+        return _adopt(-self.coords, self.algebra)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            return Element(self.algebra.mul(self.coords, other.coords), self.algebra)
+            return _adopt(self.algebra.mul(self.coords, other.coords), self.algebra)
         return self.scale(other)
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
     def scale(self, scalar: float) -> "Element":
-        return Element(float(scalar) * self.coords, self.algebra)
+        return _adopt(float(scalar) * self.coords, self.algebra)
 
     # -- norm and spectrum ----------------------------------------------
 
@@ -216,12 +252,19 @@ class Element:
 
         ``fn`` maps an array of spectral points elementwise: the real
         coordinates on a componentwise algebra, a one-element complex array
-        on ComplexAsR2.
+        on ComplexAsR2.  A writable float array of the coordinates' shape
+        that owns its memory, as a ufunc returns, becomes the result's
+        coordinates without a copy: ``fn`` must not keep it.
         """
         if self.algebra.componentwise:
-            return Element(fn(self.coords), self.algebra)
+            out = fn(self.coords)
+            if (type(out) is np.ndarray and out.dtype == np.float64
+                    and out.shape == self.coords.shape and out.base is None
+                    and out.flags.writeable):
+                return _adopt(out, self.algebra)
+            return Element(out, self.algebra)
         w = complex(fn(np.array([self.as_complex()]))[0])
-        return Element([w.real, w.imag], self.algebra)
+        return _adopt(np.array([w.real, w.imag]), self.algebra)
 
     def exp(self) -> "Element":
         return self.apply_scalar(np.exp)
@@ -253,6 +296,22 @@ class Element:
 
     def __repr__(self):
         return f"Element({list(self.coords)!r}, {self.algebra.kind.value})"
+
+
+_new = object.__new__
+_set_coords = Element.coords.__set__
+_set_algebra = Element.algebra.__set__
+
+
+def _adopt(coords: np.ndarray, algebra: AlgebraDescriptor) -> Element:
+    """An Element over ``coords`` without a copy: a float array of shape
+    (dim,) that the library has just made and that nothing else writes.
+    It is made read-only, as the constructor's copy is."""
+    coords.setflags(write=False)
+    e = _new(Element)
+    _set_coords(e, coords)
+    _set_algebra(e, algebra)
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class StSolution:
+class StSolution(NamedTuple):
     """One root w = x + iy of e^w = 1 + w with x > 0."""
 
     x: float

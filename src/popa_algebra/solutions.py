@@ -14,14 +14,14 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels, _read
-from .algebra import AlgebraDescriptor, Element, complex_plane, hadamard
+from .algebra import (AlgebraDescriptor, Element, _Frozen, _adopt, complex_plane,
+                      hadamard)
 from .errors import (ConstraintViolated, DimensionMismatch, DomainExhausted,
                      NotDifferentiable, NotInGroup, NotInvertible,
                      NotOrthogonalIdempotents, UnitNotInGroup)
@@ -41,23 +41,21 @@ class DegenerateForm(str, Enum):
     PURE_POWER = "Pure_Power"
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(_Frozen):
     """A partition of the coordinate set plus generator coefficients.
 
     ``parts`` holds 0-based index tuples (1-based in JSON); ``rho`` is the
     full-length coefficient vector, entry j only acting inside j's part.
     """
 
-    parts: tuple
-    rho: np.ndarray
+    __slots__ = ("parts", "rho")
 
-    def __post_init__(self):
-        parts = tuple(tuple(sorted(map(operator.index, p))) for p in self.parts)
+    def __init__(self, parts, rho):
+        parts = tuple(tuple(sorted(map(operator.index, p))) for p in parts)
         if not all(parts):
             raise ConstraintViolated("a part must not be empty")
         parts = tuple(sorted(parts, key=lambda p: p[0]))
-        rho = np.array(self.rho, dtype=float, copy=True)
+        rho = np.array(rho, dtype=float, copy=True)
         rho.flags.writeable = False
         if rho.ndim != 1:
             raise DimensionMismatch("rho must be a vector")
@@ -67,6 +65,19 @@ class PartitionSpec:
             raise ConstraintViolated("parts must partition the index set exactly")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "rho", rho)
+
+    def __eq__(self, other):
+        if not isinstance(other, PartitionSpec):
+            return NotImplemented
+        return self.parts == other.parts and np.array_equal(self.rho, other.rho)
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return PartitionSpec, (self.parts, self.rho)
+
+    def __repr__(self):
+        return f"PartitionSpec({self.parts!r}, {self.rho.tolist()!r})"
 
     @property
     def dim(self) -> int:
@@ -135,7 +146,7 @@ class GsSolution:
         return False
 
     def _check_point(self, x: Element):
-        if x.algebra != self.algebra:
+        if x.algebra is not self.algebra and x.algebra != self.algebra:
             raise DimensionMismatch("point does not belong to the solution's algebra")
 
     def params_json(self) -> dict:
@@ -188,7 +199,7 @@ class LinearSolution(GsSolution):
 
     def gamma(self, u: Element) -> Element:
         self._check_point(u)
-        return Element(self._apply(u.coords), self.algebra)
+        return _adopt(self._apply(u.coords), self.algebra)
 
     def gamma_norm(self) -> float:
         if self._parts is None:
@@ -484,8 +495,7 @@ def adjustor(sol: GsSolution, x: Element) -> Element:
     return sol.eval(x) - sol.algebra.unit() - rho_of(sol) * x
 
 
-@dataclass(frozen=True)
-class GoldieResidualReport:
+class GoldieResidualReport(NamedTuple):
     """Sampled residuals of the composition law and the adjustor equation."""
 
     max_gs_residual: float
@@ -622,8 +632,7 @@ def gamma_fd(sol: GsSolution, u: Element) -> Element:
     return (1.0 / (2.0 * h)) * (sol.eval(h * u) - sol.eval((-h) * u))
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Linear/non-linear split of the map at a point.
 
     ``n_x`` subtracts the derivative term, ``m_x`` the unit-scaled linear
@@ -663,8 +672,7 @@ def check_omega_homogeneity(sol: GsSolution, u: Element, k_max: int) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
+class DichotomyResult(NamedTuple):
     b: Element
     s_of_b: Element
 

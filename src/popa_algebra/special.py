@@ -4,20 +4,18 @@ solutions.  The transcendental roots of e^w = 1 + w live in ``roots``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, Element
+from .algebra import AlgebraDescriptor, Element, _Frozen
 from .errors import InvalidTriple, NotInRange
 from .solutions import GsSolution
 from .structure import RANK_REL_THRESHOLD, _svd_rank, null_space_basis
 
 
-@dataclass(frozen=True)
-class WjTriple:
+class WjTriple(_Frozen):
     """Kernel subspace sample, invertible-value samples, and a section map.
 
     ``kernel_basis`` spans the kernel at desk scale; ``lambda_samples`` are
@@ -25,9 +23,11 @@ class WjTriple:
     preimages (well-defined modulo the kernel).
     """
 
-    kernel_basis: tuple
-    lambda_samples: tuple
-    section: Callable[[Element], Element]
+    def __init__(self, kernel_basis: tuple, lambda_samples: tuple,
+                 section: Callable[[Element], Element]):
+        object.__setattr__(self, "kernel_basis", kernel_basis)
+        object.__setattr__(self, "lambda_samples", lambda_samples)
+        object.__setattr__(self, "section", section)
 
     @property
     def algebra(self) -> AlgebraDescriptor:

@@ -8,14 +8,13 @@ factor the induced group into independent blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import _read
-from .algebra import hadamard
+from .algebra import _Frozen, _adopt, hadamard
 from .errors import ConstraintViolated, UnsupportedDimension
 from .solutions import GsSolution, PartitionSpec
 
@@ -25,18 +24,27 @@ DEFAULT_ROW_TOL = 1e-9
 RANK_REL_THRESHOLD = 1e-10
 
 
-@dataclass(frozen=True)
-class SigmaMatrix:
-    entries: np.ndarray
+class SigmaMatrix(_Frozen):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=float, copy=True)
+    def __init__(self, entries):
+        m = np.array(entries, dtype=float, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ConstraintViolated("sigma matrix must be square, at least 1 x 1")
         if not np.all(np.isfinite(m)):
             raise ConstraintViolated("sigma matrix entries must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
+
+    def __eq__(self, other):
+        if not isinstance(other, SigmaMatrix):
+            return NotImplemented
+        return np.array_equal(self.entries, other.entries)
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return SigmaMatrix, (self.entries,)
 
     @property
     def dim(self) -> int:
@@ -187,8 +195,7 @@ class TwoDClass(str, Enum):
     TRIVIAL = "Trivial"
 
 
-@dataclass(frozen=True)
-class TwoDClassification:
+class TwoDClassification(NamedTuple):
     cls: TwoDClass
     params: dict
 
@@ -222,8 +229,7 @@ def classify_2d(sol: GsSolution, tol: float = DEFAULT_ROW_TOL) -> TwoDClassifica
     return classify_partition_2d(recover_partition(SigmaMatrix(sol.gamma_matrix()), tol))
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Outcome of analysing a coefficient matrix."""
 
     valid: bool
@@ -259,7 +265,9 @@ def analyse_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureRepo
     if spec is None:
         return StructureReport(False, None, (), m.dim - _svd_rank(a)[0], ())
     alg = hadamard(m.dim)
-    basis = tuple(alg.element(v) for v in null_space_basis(a))
+    kernel = np.array(null_space_basis(a))   # owned, so each row is adopted, not copied
+    kernel.flags.writeable = False
+    basis = tuple(_adopt(v, alg) for v in kernel)
     rho = spec.rho.tolist()
     factors = tuple((tuple(i + 1 for i in part), tuple(rho[j] for j in part))
                     for part in spec.parts)

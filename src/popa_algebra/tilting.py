@@ -9,9 +9,8 @@ degenerates take their limiting value (t at points where e^z = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,7 +68,7 @@ def radiality_check(sol: GsSolution, u: Element, t_grid: Sequence[float]) -> flo
 
     g(u) and rho are computed once: each t costs one evaluation of the map.
     """
-    if any(t < 0 for t in t_grid):
+    if not all(0 <= t < math.inf for t in t_grid):   # NaN fails too
         raise ValueError("t_grid must be non-negative")
     gu, tilt = _gamma_and_tilt(sol, u)
     unit, rho = sol.algebra.unit(), rho_of(sol)
@@ -100,8 +99,7 @@ def tilt_inverse(sol: GsSolution, v: Element) -> Element:
     return v * ratio
 
 
-@dataclass(frozen=True)
-class TiltResult:
+class TiltResult(NamedTuple):
     """Outcome of the fixed-point tilt solver."""
 
     u: Element
@@ -189,8 +187,7 @@ class Direction(str, Enum):
     UNIT_NORM = "UnitNorm"
 
 
-@dataclass(frozen=True)
-class UnboundednessVerdict:
+class UnboundednessVerdict(NamedTuple):
     direction: Direction
     limit_point: Optional[Element]
 
@@ -232,8 +229,7 @@ def _bounded_limit(u: Element, gu: Element) -> Element:
     return gu.algebra.element([w.real, w.imag])
 
 
-@dataclass(frozen=True)
-class RatioLimitResult:
+class RatioLimitResult(NamedTuple):
     """Finite-index approximation errors of the exponential-ratio limit."""
 
     ns: tuple
@@ -264,7 +260,7 @@ def ratio_limit_check(a: Element, t: float) -> RatioLimitResult:
     The limit is (e^{ta} - 1)/(e^a - 1) spectrally, with the value t at
     spectral points where e^z = 1, at n = 10, 100, 1000 and 10000.
     """
-    if t <= 0:
+    if not 0 < t < math.inf:   # NaN fails too
         raise ValueError("t must be positive")
     ns = (10, 100, 1000, 10000)
     limit = a.apply_scalar(lambda z: exp_ratio_scalar(z, t))

@@ -1,7 +1,9 @@
 """Ring structure, norm, and functional calculus on the three algebra kinds."""
 
+import copy
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -244,6 +246,85 @@ def test_elements_are_immutable():
     a = hadamard(2).element([1, 2])
     with pytest.raises(ValueError):
         a.coords[0] = 5.0
+
+
+def test_element_equality_is_algebra_and_coordinates():
+    a = hadamard(2).element([1, 2])
+    assert a == hadamard(2).element([1.0, 2.0])
+    assert a != hadamard(2).element([1.0, 2.5])
+    assert a != complex_plane().element([1, 2])
+    assert a != [1.0, 2.0]
+    assert hadamard(2).element([math.nan, 1.0]) != hadamard(2).element([math.nan, 1.0])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+def test_constructor_neither_aliases_nor_freezes_the_callers_array():
+    raw = np.array([1.0, 2.0, 3.0])
+    for e in (hadamard(3).element(raw), Element(raw, hadamard(3))):
+        assert not np.shares_memory(e.coords, raw)
+        assert raw.flags.writeable and not e.coords.flags.writeable
+    raw[0] = 5.0
+    assert e.coords.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_ring_operation_results_are_read_only():
+    for alg in (hadamard(3), complex_plane(), grid_interval([0.0, 0.5, 1.0])):
+        a, b = alg.element(np.linspace(0.5, 1.5, alg.dim)), alg.unit()
+        for out in (a + b, a - b, -a, a * b, 2.0 * a, a * 2.0, a.scale(3.0), a.exp(),
+                    a.log(), a.mu(), a.invert(), a.apply_scalar(lambda z: z ** 2)):
+            with pytest.raises(ValueError, match="read-only"):
+                out.coords[0] = 0.0
+
+
+def test_apply_scalar_copies_an_array_it_does_not_own():
+    buf = np.arange(6.0)
+    ints = np.array([1, 2, 3])
+    for fn in (lambda z: buf[:3], lambda z: ints):
+        out = hadamard(3).element([1, 2, 3]).apply_scalar(fn)
+        assert out.coords.dtype == np.float64
+        assert not np.shares_memory(out.coords, buf) and not np.shares_memory(out.coords, ints)
+    assert buf.flags.writeable and ints.flags.writeable
+
+
+def test_value_types_refuse_assignment():
+    from popa_algebra import (Direction, GoldieResidualReport, PartitionSpec,
+                              RatioLimitResult, SigmaMatrix, StructureReport, StSolution,
+                              TiltResult, TwoDClass, TwoDClassification,
+                              UnboundednessVerdict)
+    from popa_algebra.solutions import DecompositionReport, DichotomyResult
+    a = hadamard(2).element([1, 2])
+    values = [a, a.algebra, grid_interval([0, 1]), PartitionSpec([[0, 1]], [1.0, 2.0]),
+              SigmaMatrix(np.eye(2)), StSolution(1.0, 2.0, 0, 0.0),
+              GoldieResidualReport(0.0, 0.0, 1, (a, a)), DecompositionReport(a, a, ()),
+              DichotomyResult(a, a), TwoDClassification(TwoDClass.TRIVIAL, {}),
+              StructureReport(False, None, (), 0, ()), TiltResult(a, 0, 0.0, True),
+              UnboundednessVerdict(Direction.UNIT_NORM, None),
+              RatioLimitResult((10,), (0.0,), a)]
+    for value in values:
+        field = next(iter(getattr(value, "__slots__", None) or value._fields))
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.new_field = None
+
+
+def test_value_types_copy_and_pickle():
+    from popa_algebra import PartitionSpec, SigmaMatrix, TiltResult
+    a = grid_interval([0, 0.5, 1]).element([1, 2, 3])
+    for value in (a, a.algebra, PartitionSpec([[1], [0]], [1.0, 2.0]),
+                  SigmaMatrix([[1, 1], [1, 1]]), TiltResult(a, 2, 0.0, True, (0.5,))):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+
+
+def test_grid_descriptors_built_apart_are_equal_and_hash_alike():
+    a = grid_interval([0, 0.5, 1])
+    b = AlgebraDescriptor("GridCInterval", 3, [0.0, 0.5, 1.0])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != grid_interval([0, 0.25, 1]) and a != hadamard(3)
+    assert a.element([1, 2, 3]) + b.element([1, 1, 1]) == a.element([2, 3, 4])
 
 
 def test_element_from_json_rejects_non_finite_coordinates():

@@ -66,6 +66,21 @@ def test_transcendental_verbs_run_without_numpy(argv):
     assert "numpy" not in run["modules"]
 
 
+@pytest.mark.parametrize("verb", ["xi", "solve-st", "tilt"])
+def test_verbs_load_no_dataclasses(verb, tmp_path):
+    case = tmp_path / "tilt.json"
+    case.write_text(json.dumps({"solution": {"variant": "Canonical", "rho": [0.5, -0.25],
+                                             "algebra": {"kind": "HadamardRd", "dim": 2}},
+                                "u": [0.1, 0.2]}), encoding="utf-8")
+    argv = {"xi": ["xi"], "solve-st": ["solve-st", "--n-roots", "30"],
+            "tilt": ["tilt", "--input", str(case)]}[verb]
+    run = _loaded_after("import contextlib, io\nfrom popa_algebra.cli import main\n"
+                        "with contextlib.redirect_stdout(io.StringIO()):\n"
+                        f"    code = main({argv!r})")
+    assert run["code"] == 0
+    assert "dataclasses" not in run["modules"]
+
+
 @pytest.mark.parametrize("module", sorted(EXPORTS))
 def test_public_names_resolve_to_their_module_objects(module):
     mod = importlib.import_module(f"popa_algebra.{module}")

@@ -286,6 +286,7 @@ def test_verify_gs_deterministic():
     b = verify_gs(sol, 3000, seed=11)
     assert a.max_gs_residual == b.max_gs_residual
     assert np.array_equal(a.worst_pair[0].coords, b.worst_pair[0].coords)
+    assert a == b and a != verify_gs(sol, 3000, seed=12)
 
 
 def test_verify_gs_domain_exhausted():

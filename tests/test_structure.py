@@ -68,6 +68,16 @@ def test_kernel_subspace_dimensions():
     assert len(analyse_sigma(SigmaMatrix(np.zeros((2, 2)))).kernel_basis) == 2
 
 
+def test_kernel_basis_has_no_writable_alias():
+    rng = np.random.default_rng(5)
+    spec = random_partition_spec(rng, 12)
+    basis = analyse_sigma(SigmaMatrix(spec.sigma_matrix())).kernel_basis
+    assert basis
+    for e in basis:
+        assert not e.coords.flags.writeable
+        assert e.coords.base is None or not e.coords.base.flags.writeable
+
+
 def test_nearly_rank_one_invalid_matrix_has_a_kernel():
     # s1 / s0 is 4e-11, below RANK_REL_THRESHOLD: the matrix has rank 1
     rep = analyse_sigma(SigmaMatrix([[1, 2], [2, 4 + 1e-9]]))

@@ -450,6 +450,26 @@ def test_ratio_limit_singular_intermediate():
         ratio_limit_check(A1.element([-20.0]), 2.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_ratio_limit_refuses_a_t_that_is_not_positive_and_finite(t):
+    with pytest.raises(ValueError, match="^t must be positive$"):
+        ratio_limit_check(A1.element([1.0]), t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_radiality_refuses_a_t_that_is_not_non_negative_and_finite(t):
+    with pytest.raises(ValueError, match="^t_grid must be non-negative$"):
+        radiality_check(codependent(), A2.element([0.1, 0.2]), [0.5, t, 1.0])
+
+
+def test_solver_results_compare_by_value():
+    sol, v = codependent(0.3, 0.2), A2.element([0.05, -0.02])
+    first, again = tilt_solve_fixed_point(sol, v), tilt_solve_fixed_point(sol, v)
+    assert first is not again and first == again
+    assert first != first._replace(u=first.u + A2.element([1e-3, 0.0]))
+    assert ratio_limit_check(v, 2.0) == ratio_limit_check(v, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # kernel characterization via the derivative
 # ---------------------------------------------------------------------------
