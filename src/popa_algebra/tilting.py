@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (Element, exp_ratio_scalar, growth_scalar, h_scalar,
+from .algebra import (Element, _adopt, exp_ratio_scalar, growth_scalar, h_scalar,
                       log1p_over_scalar)
 from .errors import (LogBranchViolation, NoConvergence, NotInvertible,
                      NotOmegaHomogeneous)
@@ -32,9 +32,9 @@ KERNEL_EPS = 1e-12
 
 @np.errstate(all="ignore")
 def _gamma_and_tilt(sol: GsSolution, u: Element) -> tuple:
-    """g = gamma(u) and the tilt u (e^g - 1)/g, silently as in tilt_T."""
+    """g = gamma(u) and the coordinates of its tilt, silently as in tilt_T."""
     gu = gamma(sol, u)
-    return gu, u * gu.mu()
+    return gu, u.algebra.mul(u.coords, gu.mu().coords)
 
 
 def _lambda_scale(gu: Element, t: float) -> Element:
@@ -50,7 +50,7 @@ def tilt_T(sol: GsSolution, u: Element) -> Element:
 
     Where e^g overflows the result is inf (NaN at a zero of u), silently.
     """
-    return _gamma_and_tilt(sol, u)[1]
+    return _adopt(_gamma_and_tilt(sol, u)[1], u.algebra)
 
 
 def lambda_scale(sol: GsSolution, u: Element, t: float) -> Element:
@@ -71,13 +71,14 @@ def radiality_check(sol: GsSolution, u: Element, t_grid: Sequence[float]) -> flo
     if not all(0 <= t < math.inf for t in t_grid):   # NaN fails too
         raise ValueError("t_grid must be non-negative")
     gu, tilt = _gamma_and_tilt(sol, u)
-    unit, rho = sol.algebra.unit(), rho_of(sol)
+    alg, unit, rho = u.algebra, sol.algebra.unit().coords, rho_of(sol).coords
 
-    def adjust(x: Element) -> Element:   # adjustor(sol, x), rho reused
-        return sol.eval(x) - unit - rho * x
+    def adjust(x: Element) -> np.ndarray:   # adjustor(sol, x), rho reused
+        return sol.eval(x).coords - unit - alg.mul(rho, x.coords)
 
-    n_t1 = adjust(tilt)
-    defects = [(adjust(_tilt_path(u, gu, float(t))) - _lambda_scale(gu, float(t)) * n_t1).norm()
+    n_t1 = adjust(_adopt(tilt, alg))
+    defects = [alg.norm(adjust(_tilt_path(u, gu, float(t)))
+                        - alg.mul(_lambda_scale(gu, float(t)).coords, n_t1))
                for t in t_grid]
     return float(np.max(defects, initial=0.0))   # a NaN defect is NaN, not a pass
 
@@ -92,7 +93,8 @@ def tilt_inverse(sol: GsSolution, v: Element) -> Element:
     if not sol.omega_homogeneous():
         raise NotOmegaHomogeneous(
             f"closed-form inverse not validated for variant {sol.variant}")
-    gv = gamma(sol, v)
+    with np.errstate(all="ignore"):   # as in tilt_T: an overflow is inf
+        gv = gamma(sol, v)
     if not (sol.algebra.unit() + gv).in_log_branch():
         raise LogBranchViolation("spectrum of unit + gamma(v) meets (-inf, 0]")
     ratio = gv.apply_scalar(log1p_over_scalar)
@@ -123,26 +125,28 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _radii(gnorm: float) -> tuple:
+    """The contraction and guarantee radii for a derivative of norm gnorm."""
+    if gnorm == 0.0:
+        return math.inf, math.inf
+    delta = min(1.0, 1.0 / (3.0 * gnorm * _exp_or_inf(gnorm)))
+    return delta, min(1.0, delta / 2.0, delta / (2.0 * gnorm * _exp_or_inf(gnorm)))
+
+
 def contraction_radius(sol: GsSolution) -> float:
     """Ball radius within which the solver's update map is a 1/2-contraction."""
-    gnorm = sol.gamma_norm()
-    if gnorm == 0.0:
-        return math.inf
-    return min(1.0, 1.0 / (3.0 * gnorm * _exp_or_inf(gnorm)))
+    return _radii(sol.gamma_norm())[0]
 
 
 def guarantee_radius(sol: GsSolution) -> float:
     """Ball radius of guaranteed solvability for the fixed-point iteration."""
-    gnorm = sol.gamma_norm()
-    if gnorm == 0.0:
-        return math.inf
-    delta = contraction_radius(sol)
-    return min(1.0, delta / 2.0, delta / (2.0 * gnorm * _exp_or_inf(gnorm)))
+    return _radii(sol.gamma_norm())[1]
 
 
 def tilt_solve_fixed_point(sol: GsSolution, v: Element,
                            max_iter: int = MAX_ITER_DEFAULT) -> TiltResult:
-    """Solve T(u) = v by u <- v - u H(u), H = (e^g - 1 - g)/g, to RESIDUAL_TOL.
+    """Solve T(u) = v by u <- v - u H(u), H = (e^g - 1 - g)/g, until norm(v - T(u))
+    < RESIDUAL_TOL * max(1, norm(v)): the residual floor is a few ulps of norm(v).
 
     Convergence is guaranteed (contraction factor <= 1/2) for norm(v)
     inside the guarantee radius; outside it the solver still attempts and
@@ -150,28 +154,27 @@ def tilt_solve_fixed_point(sol: GsSolution, v: Element,
     not finite, grows over five consecutive steps or the iteration cap is
     reached.
     """
-    guaranteed = v.norm() < guarantee_radius(sol)
+    alg, vc, v_norm = v.algebra, v.coords, v.norm()
+    guaranteed = v_norm < guarantee_radius(sol)
+    tol = RESIDUAL_TOL * max(1.0, v_norm)
     u = v
     g, tilt = _gamma_and_tilt(sol, u)   # g(u) serves the residual and the next step
-    residual = (v - tilt).norm()
-    if residual < RESIDUAL_TOL:
+    residual = alg.norm(vc - tilt)
+    if residual < tol:
         return TiltResult(u, 0, residual, guaranteed)
-    prev_step = None
-    ratios = []
-    growth_streak = 0
-    prev_residual = residual
+    prev_step, ratios, growth_streak, prev_residual = None, [], 0, residual
     for it in range(1, max_iter + 1):
         if not math.isfinite(residual):
             raise NoConvergence(f"non-finite residual after {it - 1} iterations")
-        u_next = v - u * g.apply_scalar(h_scalar)
-        step = (u_next - u).norm()
+        u_next = vc - alg.mul(u.coords, g.apply_scalar(h_scalar).coords)
+        step = alg.norm(u_next - u.coords)
         if prev_step is not None and prev_step > 0.0:
             ratios.append(step / prev_step)
         prev_step = step
-        u = u_next
+        u = _adopt(u_next, alg)
         g, tilt = _gamma_and_tilt(sol, u)
-        residual = (v - tilt).norm()
-        if residual < RESIDUAL_TOL:
+        residual = alg.norm(vc - tilt)
+        if residual < tol:
             return TiltResult(u, it, residual, guaranteed, tuple(ratios))
         growth_streak = growth_streak + 1 if residual > prev_residual else 0
         prev_residual = residual

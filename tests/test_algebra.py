@@ -6,6 +6,7 @@ import math
 import pickle
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -15,7 +16,7 @@ from popa_algebra import (AlgebraDescriptor, AlgebraKind, ConstraintViolated,
                           DimensionMismatch, Element, LogBranchViolation,
                           NotInvertible, complex_plane, grid_interval, hadamard)
 from popa_algebra.algebra import (_H_SERIES, _LOG1P_SERIES, _MU_SERIES, SERIES_THRESHOLD,
-                                  exp_ratio_scalar, growth_scalar, h_scalar,
+                                  _horner, exp_ratio_scalar, growth_scalar, h_scalar,
                                   log1p_over_scalar, mu_scalar)
 from scalar_oracle import cexpm1
 
@@ -35,6 +36,20 @@ def test_complex_product_is_complex_multiplication():
     assert np.allclose((i * i).coords, [-1, 0])
     assert np.allclose((C.element([1, 2]) * C.element([3, -1])).coords,
                        [5, 5])  # (1+2i)(3-i) = 5+5i
+
+
+def test_one_point_complex_product_has_the_block_products_bits():
+    # a (2,) product runs in Python floats, a (2, rows) one in ufuncs
+    C = complex_plane()
+    rng = np.random.default_rng(12)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e-308, 5e-324]
+    a = rng.standard_normal((2, 4000)) * 10.0 ** rng.integers(-200, 200, (2, 4000))
+    b = rng.standard_normal((2, 4000)) * 10.0 ** rng.integers(-200, 200, (2, 4000))
+    a[0, :64], b[1, :64] = np.repeat(special, 8), np.tile(special, 8)
+    with np.errstate(all="ignore"):
+        block = C.mul(a, b)
+        for k in range(a.shape[1]):
+            assert C.mul(a[:, k], b[:, k]).tobytes() == block[:, k].tobytes(), k
 
 
 def test_invert():
@@ -198,6 +213,58 @@ def test_series_helpers_match_the_where_form_bit_for_bit(name, fn):
         assert isinstance(got, np.ndarray)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), z
         assert got.tobytes() == want.tobytes(), z
+
+
+_BELOW = float(np.nextafter(SERIES_THRESHOLD, 0.0))   # the threshold less one ulp
+
+#: points below SERIES_THRESHOLD, where the series replaces the direct formula
+SERIES_REAL = [0.0, -0.0, 1e-300, -1e-300, _BELOW, -_BELOW, 3e-6, -7e-9, 1e-12, 5e-324]
+SERIES_COMPLEX = ([complex(a, b) for a in (0.0, -0.0, 1e-300, -1e-300, -0.6 * _BELOW)
+                   for b in (0.0, -0.0, 1e-300, 0.7 * _BELOW)]
+                  + [_BELOW * complex(math.cos(a), math.sin(a)) for a in (0.3, 2.0, -1.2)])
+
+
+@pytest.mark.parametrize("coeffs", [_MU_SERIES, _H_SERIES, _LOG1P_SERIES],
+                         ids=["mu", "h", "log1p"])
+def test_horner_equals_polyval_bit_for_bit(coeffs):
+    rng = np.random.default_rng(11)
+    noise = rng.uniform(-1.0, 1.0, 40) * _BELOW * 10.0 ** rng.integers(-300, 1, 40)
+    arrays = [np.array(SERIES_REAL), -np.array(SERIES_REAL), noise[:16], noise,
+              np.array(SERIES_COMPLEX), np.conj(SERIES_COMPLEX),
+              noise[:10] + 1j * noise[10:20]]
+    arrays += [np.array([z]) for z in SERIES_REAL + SERIES_COMPLEX]
+    for z in arrays:
+        got, want = _horner(coeffs, z), np.polyval(coeffs, z)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), z
+
+
+def _mp_reference(name, z):
+    """The function at z to 40 digits, its limit at z = 0.  e^z - 1 - z
+    cancels about -log10|z| digits, which the working precision adds."""
+    z = mpmath.mpmathify(z)
+    if z == 0:
+        return mpmath.mpf(0) if name == "h" else mpmath.mpf(1)
+    with mpmath.workdps(40 + max(0, -int(mpmath.log10(abs(z))))):
+        if name == "mu":
+            return mpmath.expm1(z) / z
+        if name == "h":
+            return (mpmath.expm1(z) - z) / z
+        return mpmath.log1p(z) / z
+
+
+@pytest.mark.parametrize("name, fn", [("mu", mu_scalar), ("h", h_scalar),
+                                      ("log1p", log1p_over_scalar)])
+def test_series_matches_a_40_digit_mpmath_oracle(name, fn):
+    # the series is the whole value below SERIES_THRESHOLD: within 2 eps of
+    # the exact value, and exact at the limits z = 0.  h(5e-324) = 2.5e-324
+    # lies halfway between two subnormals, hence the absolute term
+    tiny = np.finfo(float).smallest_subnormal
+    for points in (SERIES_REAL, SERIES_COMPLEX):
+        for z, got in zip(points, fn(np.array(points))):
+            want = _mp_reference(name, z)
+            err = abs(mpmath.mpmathify(complex(got)) - want)
+            assert err <= 2 * np.finfo(float).eps * abs(want) + tiny, (z, got)
 
 
 def test_cexpm1_matches_direct_formula():

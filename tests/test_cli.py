@@ -489,15 +489,54 @@ def test_fuzzed_field_exits_two_with_a_diagnostic(draw, tmp_path_factory):
         json.loads(out, parse_constant=_reject_constant)
 
 
+GOLDEN = sorted(DATA.glob("tilt_golden_*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
+def test_tilt_verbs_replay_their_golden_output_byte_for_byte(path, tmp_path):
+    # each file: an input, and per verb the stdout and exit code it gave
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    src = _write(tmp_path, "in.json", golden["input"])
+    for run in golden["runs"]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([run["verb"], "--input", src])
+        assert (code, out.getvalue()) == (run["exit_code"], run["stdout"]), run["verb"]
+
+
+def test_every_tilt_golden_file_is_replayed():
+    assert [p.stem for p in GOLDEN] == [
+        "tilt_golden_canonical_complex", "tilt_golden_canonical_overflow",
+        "tilt_golden_grid_partition", "tilt_golden_one_exp", "tilt_golden_partition_d8"]
+
+
+def test_solve_tilt_stops_on_the_backward_error(tmp_path, capsys):
+    # the residual floor is one ulp of |v| = 34685 (7.3e-12): the solver
+    # stops below RESIDUAL_TOL * |v| instead of running out of iterations
+    rho = 6.605524798050306e-06
+    path = _write(tmp_path, "in.json", {"solution": dict(CANONICAL, rho=[rho, rho]),
+                                        "v": [34685.19605653322, 0.2]})
+    code, out = _run(["solve-tilt", "--input", path], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["final_residual"] < 1e-12 * 34685.19605653322
+    assert report["iterations"] < 200
+
+
 #: (verb, input, exit code): a value beyond the float range met on the way is
 #: inf, so the run ends with its documented code and no traceback or warning
 OVERFLOWS = {
     # gamma_norm e^gamma_norm overflows: the guarantee radius is 0
     "solve-tilt-huge-rho": ("solve-tilt", {"solution": dict(PARTITION, rho=[1.0, 1e308]),
                                            "v": [0.01, 0.02]}, 1),
-    # rho * v overflows to gamma = -inf: the first step's residual is NaN
+    # rho * v overflows to gamma = -inf: the first step's residual is NaN,
+    # 1 + gamma(v) is off the log branch, and the tilt's multiplier is 0
     "solve-tilt-gamma-minus-inf": ("solve-tilt", {"solution": dict(CANONICAL, rho=[-2.0, 1.0]),
                                                   "v": [1e308, 0.1]}, 1),
+    "invert-tilt-gamma-minus-inf": ("invert-tilt", {"solution": dict(CANONICAL, rho=[-2.0, 1.0]),
+                                                    "v": [1e308, 0.1]}, 2),
+    "tilt-gamma-minus-inf": ("tilt", {"solution": dict(CANONICAL, rho=[-2.0, 1.0]),
+                                      "u": [1e308, 0.1]}, 0),
     # S(unit) = exp(1e308): the report's residuals are NaN
     "verify-one-exp-huge-weight": ("verify", dict(ONE_EXP, gamma_exp=1e308), 1),
     "verify-affine-power-huge-rho": ("verify", dict(AFFINE_POWER, rho=1e308), 1),

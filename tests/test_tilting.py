@@ -19,9 +19,9 @@ from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           lambda_scale, radiality_check, ratio_limit_check,
                           tilt_T, tilt_inverse, tilt_path,
                           tilt_solve_fixed_point, unboundedness_direction)
-from popa_algebra.algebra import h_scalar
-from popa_algebra.tilting import (RESIDUAL_TOL, _finite_ratio_scalar, contraction_radius,
-                                  guarantee_radius)
+from popa_algebra.algebra import h_scalar, log1p_over_scalar
+from popa_algebra.tilting import (KERNEL_EPS, RESIDUAL_TOL, _finite_ratio_scalar,
+                                  contraction_radius, guarantee_radius)
 
 E = math.e
 A1, A2, A3 = hadamard(1), hadamard(2), hadamard(3)
@@ -301,7 +301,7 @@ def _solve_composed(sol, v, max_iter=200):
     u, ratios, prev_step = v, [], None
     residual = (v - tilt_T(sol, u)).norm()
     it = 0
-    while residual >= RESIDUAL_TOL and it < max_iter:
+    while residual >= RESIDUAL_TOL * max(1.0, v.norm()) and it < max_iter:
         it += 1
         u_next = v - u * gamma(sol, u).apply_scalar(h_scalar)
         step = (u_next - u).norm()
@@ -345,6 +345,49 @@ def test_solver_equals_the_public_composition_exactly():
             assert (res.iterations, res.final_residual, res.contraction_ratios) == (
                 iterations, residual, ratios)
             assert len(calls) == res.iterations + 1
+
+
+def test_inverse_equals_the_public_composition_exactly():
+    rng = np.random.default_rng(33)
+    checked = 0
+    for sol in _tilt_families(rng):
+        for scale in (1e-9, 0.05, 0.3):
+            v = sol.algebra.element(rng.uniform(-1.0, 1.0, sol.algebra.dim) * scale)
+            if not sol.omega_homogeneous():
+                with pytest.raises(NotOmegaHomogeneous):
+                    tilt_inverse(sol, v)
+                continue
+            want = v * gamma(sol, v).apply_scalar(log1p_over_scalar)
+            assert tilt_inverse(sol, v).coords.tobytes() == want.coords.tobytes()
+            checked += 1
+    assert checked == 18
+
+
+def _limit_composed(u, gu):
+    """-u/g(u) on each spectral point above KERNEL_EPS, 0 on the kernel."""
+    if gu.algebra.componentwise:
+        with np.errstate(all="ignore"):
+            return np.where(np.abs(gu.coords) > KERNEL_EPS, -u.coords / gu.coords, 0.0)
+    w = -complex(*u.coords) / complex(*gu.coords)
+    return np.array([w.real, w.imag])
+
+
+def test_limit_point_equals_the_public_composition_exactly():
+    # u follows the sign of each column of M, so that gamma(u) has one sign
+    # off the kernel and the bounded ray has a limit
+    rng = np.random.default_rng(34)
+    checked = 0
+    for sol in _tilt_families(rng):
+        signs = np.sign(sol.gamma_matrix().sum(axis=0))
+        for scale in (1e-7, 0.3, -0.3, 1.0):
+            u = sol.algebra.element(signs * rng.uniform(0.1, 1.0, sol.algebra.dim) * scale)
+            verdict = unboundedness_direction(sol, u)
+            if verdict.limit_point is None:
+                continue
+            want = _limit_composed(u, gamma(sol, u))
+            assert verdict.limit_point.coords.tobytes() == want.tobytes()
+            checked += 1
+    assert checked == 32
 
 
 def test_contraction_radius_formulas():
@@ -501,6 +544,28 @@ def test_solver_stops_when_the_residual_keeps_growing():
     sol = CanonicalSolution(A1.element([1.0]))
     with pytest.raises(NoConvergence, match="residual grew for 5 consecutive steps"):
         tilt_solve_fixed_point(sol, A1.element([2.0]))
+
+
+def test_inverse_overflow_is_a_log_branch_violation_without_a_warning():
+    # rho v overflows to gamma(v) = -inf, whose 1 + gamma is off the log branch
+    sol = CanonicalSolution(A2.element([-2.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LogBranchViolation):
+            tilt_inverse(sol, A2.element([1e308, 0.1]))
+
+
+@pytest.mark.parametrize("rho, v0", [(6.605524798050306e-06, 34685.19605653322),
+                                     (3.886303977238026e-05, 16614.37751735289)])
+def test_solver_stops_on_the_backward_error(rho, v0):
+    # the residual cannot go below about one ulp of |v| (7.3e-12 at 34685):
+    # the solver stops once it is below RESIDUAL_TOL * |v|
+    sol = CanonicalSolution(A2.element([rho, rho]))
+    v = A2.element([v0, 0.2])
+    res = tilt_solve_fixed_point(sol, v)
+    assert RESIDUAL_TOL <= res.final_residual < RESIDUAL_TOL * v.norm()
+    assert res.final_residual == (v - tilt_T(sol, res.u)).norm()
+    assert res.iterations < 200
 
 
 def test_tilt_overflow_is_non_finite_without_warnings():
