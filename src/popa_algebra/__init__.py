@@ -22,19 +22,16 @@ _EXPORTS = {
                   "DegenerateExpSolution", "DegenerateForm",
                   "GoldieResidualReport", "GsSolution", "IdempotentSolution",
                   "LinearCandidate", "LinearSolution", "PartitionSolution",
-                  "PartitionSpec", "adjustor", "check_omega_homogeneity",
-                  "circle_inv", "circle_op", "decomposition_check",
-                  "dichotomy_check", "gamma", "gamma_fd", "popa_isomorphism_check",
-                  "rho_of", "solution_from_json", "verify_gs"),
+                  "PartitionSpec", "gamma", "rho_of", "solution_from_json",
+                  "verify_gs"),
     "roots": ("StSolution", "st_roots", "xi_root"),
     "special": ("WjSolutionOracle", "WjTriple", "wj_extract", "wj_verify"),
     "structure": ("SigmaMatrix", "StructureReport", "TwoDClass",
                   "TwoDClassification", "analyse_sigma", "classify_2d",
                   "recover_partition"),
-    "tilting": ("Direction", "RatioLimitResult", "TiltResult",
-                "UnboundednessVerdict", "lambda_scale", "radiality_check",
-                "ratio_limit_check", "tilt_T", "tilt_inverse", "tilt_path",
-                "tilt_solve_fixed_point", "unboundedness_direction"),
+    "tilting": ("Direction", "TiltResult", "UnboundednessVerdict", "radiality_check",
+                "tilt_T", "tilt_inverse", "tilt_solve_fixed_point",
+                "unboundedness_direction"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

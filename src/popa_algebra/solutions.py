@@ -3,9 +3,9 @@
 Each family knows how to evaluate itself, on one point or on a block of
 points, expose the derivative at the origin, and serialize to JSON.  Every linear family is one map, unit + M x,
 held by ``LinearSolution``; the univariate-driven forms are
-``DegenerateExpSolution``.  The induced group operation, the adjustor
-(deviation from the affine form), and sampled verification of the defining
-identities live here as free functions.
+``DegenerateExpSolution``.  The linear offset ``rho_of``, sampled
+verification of the defining identities and the derivative ``gamma`` live
+here as free functions.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from . import _kernels, _read
 from .algebra import (AlgebraDescriptor, Element, _Frozen, _adopt, complex_plane,
                       hadamard)
 from .errors import (ConstraintViolated, DimensionMismatch, DomainExhausted,
-                     NotDifferentiable, NotInGroup, NotInvertible,
-                     NotOrthogonalIdempotents, UnitNotInGroup)
+                     NotDifferentiable, NotInGroup, NotOrthogonalIdempotents,
+                     UnitNotInGroup)
 
 #: sampled points whose image has a spectral point below this are rejected
 GROUP_REJECT_EPS = 1e-9
@@ -466,21 +466,8 @@ def solution_from_json(data: dict, where: str = "") -> GsSolution:
 
 
 # ---------------------------------------------------------------------------
-# the induced group operation and the adjustor
+# the linear offset, sampled verification and the derivative at 0
 # ---------------------------------------------------------------------------
-
-def circle_op(sol: GsSolution, x: Element, y: Element) -> Element:
-    """Group operation induced by the solution: x + S(x) y."""
-    return x + sol.eval(x) * y
-
-
-def circle_inv(sol: GsSolution, x: Element) -> Element:
-    """Group inverse -x * S(x)^{-1}; x must have invertible image."""
-    sx = sol.eval(x)
-    if not sx.is_invertible():
-        raise NotInGroup("point image is not invertible")
-    return -(x * sx.invert())
-
 
 def rho_of(sol: GsSolution) -> Element:
     """Linear offset S(unit) - unit; the unit must lie in the group."""
@@ -488,11 +475,6 @@ def rho_of(sol: GsSolution) -> Element:
     if not s1.is_invertible():
         raise UnitNotInGroup("image of the unit is not invertible")
     return s1 - sol.algebra.unit()
-
-
-def adjustor(sol: GsSolution, x: Element) -> Element:
-    """Deviation from the affine form: S(x) - unit - rho x."""
-    return sol.eval(x) - sol.algebra.unit() - rho_of(sol) * x
 
 
 class GoldieResidualReport(NamedTuple):
@@ -617,90 +599,6 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
                                 n_valid, pair)
 
 
-# ---------------------------------------------------------------------------
-# derivative-based checks
-# ---------------------------------------------------------------------------
-
 def gamma(sol: GsSolution, u: Element) -> Element:
     """Derivative of the solution map at 0, applied to u (closed form)."""
     return sol.gamma(u)
-
-
-def gamma_fd(sol: GsSolution, u: Element) -> Element:
-    """Central finite-difference cross-check of the analytic derivative."""
-    h = 1e-6
-    return (1.0 / (2.0 * h)) * (sol.eval(h * u) - sol.eval((-h) * u))
-
-
-class DecompositionReport(NamedTuple):
-    """Linear/non-linear split of the map at a point.
-
-    ``n_x`` subtracts the derivative term, ``m_x`` the unit-scaled linear
-    term; the four defects are the algebra-valued bilinear-form pairings
-    that vanish for exact solutions (max-norms reported).
-    """
-
-    n_x: Element
-    m_x: Element
-    orth_defects: tuple
-
-
-def decomposition_check(sol: GsSolution, x: Element) -> DecompositionReport:
-    unit = sol.algebra.unit()
-    sx = sol.eval(x)
-    gx = sol.gamma(x)
-    g1x = sol.gamma(unit) * x
-    n_x = sx - unit - gx
-    m_x = sx - unit - g1x
-    form = lambda a, b: sol.gamma(a * b)                 # <a,b> = gamma(ab)
-    form_g = lambda a, b: sol.gamma(a * sol.gamma(b))    # <a,b>_gamma
-    defects = (form(gx, n_x).norm(), form_g(gx, n_x).norm(),
-               form(gx, m_x).norm(), form_g(g1x, m_x).norm())
-    return DecompositionReport(n_x, m_x, defects)
-
-
-def check_omega_homogeneity(sol: GsSolution, u: Element, k_max: int) -> float:
-    """Max defect of the power-raising identity over exponents 0..k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    worst = 0.0
-    gu = sol.gamma(u)
-    for k in range(k_max + 1):
-        lhs = sol.gamma(u * gu.apply_scalar(lambda z: z ** k))
-        rhs = gu.apply_scalar(lambda z: z ** (k + 1))
-        worst = max(worst, (lhs - rhs).norm())
-    return worst
-
-
-class DichotomyResult(NamedTuple):
-    b: Element
-    s_of_b: Element
-
-
-def dichotomy_check(sol: GsSolution, a: Element) -> DichotomyResult:
-    """Map a to b = a (unit - S(a))^{-1}; globally defined solutions send b
-    to a non-invertible image (zero for the linear families)."""
-    unit = sol.algebra.unit()
-    w = unit - sol.eval(a)
-    if not w.is_invertible():
-        raise NotInvertible("unit - S(a) is not invertible")
-    b = a * w.invert()
-    return DichotomyResult(b, sol.eval(b))
-
-
-def popa_isomorphism_check(rho: Element, t_grid: Sequence[float]) -> float:
-    """Defect of the one-parameter subgroup g(t) = rho^{-1}(e^{t rho} - unit)
-    under x o y = x + (unit + rho x) y, over all grid pairs."""
-    if not rho.is_invertible():
-        raise NotInvertible("rho must be invertible")
-    alg = rho.algebra
-    unit = alg.unit()
-    rho_inv = rho.invert()
-    g = {t: rho_inv * ((t * rho).exp() - unit) for t in t_grid}
-    worst = 0.0
-    for s in t_grid:
-        for t in t_grid:
-            left = g[s] + (unit + rho * g[s]) * g[t]
-            right = rho_inv * (((s + t) * rho).exp() - unit)
-            worst = max(worst, (left - right).norm())
-    return worst

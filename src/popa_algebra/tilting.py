@@ -16,8 +16,7 @@ import numpy as np
 
 from .algebra import (Element, _adopt, exp_ratio_scalar, growth_scalar, h_scalar,
                       log1p_over_scalar)
-from .errors import (LogBranchViolation, NoConvergence, NotInvertible,
-                     NotOmegaHomogeneous)
+from .errors import LogBranchViolation, NoConvergence, NotOmegaHomogeneous
 from .solutions import GsSolution, gamma, rho_of
 
 RESIDUAL_TOL = 1e-12
@@ -53,16 +52,6 @@ def tilt_T(sol: GsSolution, u: Element) -> Element:
     return _adopt(_gamma_and_tilt(sol, u)[1], u.algebra)
 
 
-def lambda_scale(sol: GsSolution, u: Element, t: float) -> Element:
-    """Exponential scaling factor (e^{tg} - 1)/(e^g - 1), value t where e^g = 1."""
-    return _lambda_scale(gamma(sol, u), t)
-
-
-def tilt_path(sol: GsSolution, u: Element, t: float) -> Element:
-    """The tilt at parameter t: u (e^{tg} - 1)/g, linear (t u) on the kernel."""
-    return _tilt_path(u, gamma(sol, u), t)
-
-
 def radiality_check(sol: GsSolution, u: Element, t_grid: Sequence[float]) -> float:
     """Max defect of N(tilt at t) = lambda(t) * N(tilt at 1) over the grid.
 
@@ -73,7 +62,7 @@ def radiality_check(sol: GsSolution, u: Element, t_grid: Sequence[float]) -> flo
     gu, tilt = _gamma_and_tilt(sol, u)
     alg, unit, rho = u.algebra, sol.algebra.unit().coords, rho_of(sol).coords
 
-    def adjust(x: Element) -> np.ndarray:   # adjustor(sol, x), rho reused
+    def adjust(x: Element) -> np.ndarray:   # the adjustor S(x) - unit - rho x, rho reused
         return sol.eval(x).coords - unit - alg.mul(rho, x.coords)
 
     n_t1 = adjust(_adopt(tilt, alg))
@@ -133,16 +122,12 @@ def _radii(gnorm: float) -> tuple:
     return delta, min(1.0, delta / 2.0, delta / (2.0 * gnorm * _exp_or_inf(gnorm)))
 
 
-def contraction_radius(sol: GsSolution) -> float:
-    """Ball radius within which the solver's update map is a 1/2-contraction."""
-    return _radii(sol.gamma_norm())[0]
-
-
 def guarantee_radius(sol: GsSolution) -> float:
     """Ball radius of guaranteed solvability for the fixed-point iteration."""
     return _radii(sol.gamma_norm())[1]
 
 
+@np.errstate(all="ignore")   # as in tilt_T: an overflow is inf, silently
 def tilt_solve_fixed_point(sol: GsSolution, v: Element,
                            max_iter: int = MAX_ITER_DEFAULT) -> TiltResult:
     """Solve T(u) = v by u <- v - u H(u), H = (e^g - 1 - g)/g, until norm(v - T(u))
@@ -151,8 +136,8 @@ def tilt_solve_fixed_point(sol: GsSolution, v: Element,
     Convergence is guaranteed (contraction factor <= 1/2) for norm(v)
     inside the guarantee radius; outside it the solver still attempts and
     reports guaranteed=False.  Raises NoConvergence when the residual is
-    not finite, grows over five consecutive steps or the iteration cap is
-    reached.
+    not finite (a step that overflows makes it so), grows over five
+    consecutive steps or the iteration cap is reached.
     """
     alg, vc, v_norm = v.algebra, v.coords, v.norm()
     guaranteed = v_norm < guarantee_radius(sol)
@@ -230,46 +215,3 @@ def _bounded_limit(u: Element, gu: Element) -> Element:
                                             where=np.abs(gu.coords) > KERNEL_EPS))
     w = -u.as_complex() / gu.as_complex()
     return gu.algebra.element([w.real, w.imag])
-
-
-class RatioLimitResult(NamedTuple):
-    """Finite-index approximation errors of the exponential-ratio limit."""
-
-    ns: tuple
-    errors: tuple
-    limit: Element
-
-
-@np.errstate(all="ignore")
-def _finite_ratio_scalar(z, n: int, m: int):
-    """((1 + z/n)^m - 1)/((1 + z/n)^n - 1) per point, m/n on the kernel."""
-    b = 1.0 + z / n
-    if np.iscomplexobj(z):
-        num, den = b ** m - 1.0, b ** n - 1.0
-    else:
-        # through log1p/expm1 where the base is positive, for accuracy
-        lg = np.log1p(z / n)
-        num = np.where(b > 0.0, np.expm1(m * lg), b ** m - 1.0)
-        den = np.where(b > 0.0, np.expm1(n * lg), b ** n - 1.0)
-    kernel = np.abs(z) < KERNEL_EPS
-    if np.any(~kernel & (np.abs(den) < 1e-12)):
-        raise NotInvertible(f"(1 + a/n)^n - 1 singular at n={n}")
-    return np.where(kernel, float(m) / float(n), num / den)
-
-
-def ratio_limit_check(a: Element, t: float) -> RatioLimitResult:
-    """Errors of ((1 + a/n)^{round(tn)} - 1)/((1 + a/n)^n - 1) against its limit.
-
-    The limit is (e^{ta} - 1)/(e^a - 1) spectrally, with the value t at
-    spectral points where e^z = 1, at n = 10, 100, 1000 and 10000.
-    """
-    if not 0 < t < math.inf:   # NaN fails too
-        raise ValueError("t must be positive")
-    ns = (10, 100, 1000, 10000)
-    limit = a.apply_scalar(lambda z: exp_ratio_scalar(z, t))
-    errors = []
-    for n in ns:
-        m = int(round(t * n))
-        approx = a.apply_scalar(lambda z: _finite_ratio_scalar(z, n, m))
-        errors.append((approx - limit).norm())
-    return RatioLimitResult(ns, tuple(errors), limit)

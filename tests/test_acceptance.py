@@ -8,13 +8,13 @@ import math
 import numpy as np
 import pytest
 
+from paper_checks import adjustor, dichotomy_check, lambda_scale, ratio_limit_check
 from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           DegenerateExpSolution, DegenerateForm,
                           IdempotentSolution, InvalidTriple, LinearCandidate,
                           PartitionSolution, PartitionSpec, SigmaMatrix,
-                          WjSolutionOracle, WjTriple, adjustor, analyse_sigma,
-                          dichotomy_check, gamma, hadamard, lambda_scale,
-                          radiality_check, ratio_limit_check, rho_of, st_roots,
+                          WjSolutionOracle, WjTriple, analyse_sigma, gamma, hadamard,
+                          radiality_check, rho_of, st_roots,
                           tilt_T, tilt_inverse, tilt_solve_fixed_point,
                           verify_gs, wj_extract, wj_verify, xi_root)
 from popa_algebra.tilting import guarantee_radius

@@ -355,11 +355,11 @@ def test_apply_scalar_copies_an_array_it_does_not_own():
 
 
 def test_value_types_refuse_assignment():
+    from paper_checks import DecompositionReport, DichotomyResult, RatioLimitResult
     from popa_algebra import (Direction, GoldieResidualReport, PartitionSpec,
-                              RatioLimitResult, SigmaMatrix, StructureReport, StSolution,
+                              SigmaMatrix, StructureReport, StSolution,
                               TiltResult, TwoDClass, TwoDClassification,
                               UnboundednessVerdict)
-    from popa_algebra.solutions import DecompositionReport, DichotomyResult
     a = hadamard(2).element([1, 2])
     values = [a, a.algebra, grid_interval([0, 1]), PartitionSpec([[0, 1]], [1.0, 2.0]),
               SigmaMatrix(np.eye(2)), StSolution(1.0, 2.0, 0, 0.0),

@@ -452,14 +452,17 @@ def _wrong_values(old, free_length: bool):
     return values
 
 
-def _run_in_process(verb, data, tmp_dir):
+def _run_in_process(verb, data, tmp_dir, *flags):
     path = tmp_dir / "in.json"
     path.write_text(json.dumps(data), encoding="utf-8")   # NaN, Infinity tokens
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([verb, "--input", str(path)])
+        try:
+            code = main([verb, "--input", str(path), *flags])
+        except SystemExit as exc:   # argparse refuses a flag
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -537,6 +540,11 @@ OVERFLOWS = {
                                                     "v": [1e308, 0.1]}, 2),
     "tilt-gamma-minus-inf": ("tilt", {"solution": dict(CANONICAL, rho=[-2.0, 1.0]),
                                       "u": [1e308, 0.1]}, 0),
+    # the first step's update v - u H(u) overflows: its residual is not finite
+    "solve-tilt-step-overflow": ("solve-tilt", {"solution": PARTITION,
+                                                "v": [-1e308, 0.02]}, 1),
+    "solve-tilt-complex-step-overflow": ("solve-tilt", {"solution": COMPLEX_CANONICAL,
+                                                        "v": [0.01, 1e308]}, 1),
     # S(unit) = exp(1e308): the report's residuals are NaN
     "verify-one-exp-huge-weight": ("verify", dict(ONE_EXP, gamma_exp=1e308), 1),
     "verify-affine-power-huge-rho": ("verify", dict(AFFINE_POWER, rho=1e308), 1),
@@ -677,3 +685,71 @@ def test_malformed_flag_exits_two_naming_it(flag, text, tmp_path_factory):
     assert exit_.value.code == 2
     assert out.getvalue() == ""
     assert f"--{name}" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# extreme values: each float field of a valid input, and each real-valued
+# flag, takes each value of a fixed table, and the CLI contract must hold
+# ---------------------------------------------------------------------------
+
+EXTREMES = [1e308, -1e308, 1e154, -1e154, 1e300, 5e-324, -5e-324, 0.0, -0.0, 1e-300,
+            700.0, -700.0, 1e16]
+
+#: (verb, a flag it reads as a real number)
+REAL_FLAGS = [*((verb, "tol") for verb in ("classify", "verify", "invert-tilt", "wj")),
+              ("verify", "box-radius")]
+
+
+def _float_paths(obj, path=()):
+    """Paths to the float members and list entries of obj, at any depth."""
+    if type(obj) is float:
+        yield path
+    elif isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _float_paths(value, path + (key,))
+
+
+def _contract_breach(verb, data, tmp_dir, flag=None, value=None):
+    """What one run, with --flag=value if given, breaks of the CLI contract, or None."""
+    flags = [f"--{flag}={value!r}"] if flag else []
+    if verb == "verify":   # the sweep's cost is the sampling
+        flags.append("--samples=2000")
+    try:
+        code, out, err = _run_in_process(verb, data, tmp_dir, *flags)
+    except Exception as exc:   # a warning raised as an error, or a bug
+        return f"raised {exc!r}"
+    if code not in (0, 1, 2):
+        return f"exit {code}"
+    if "Traceback" in err or "Warning" in err:
+        return f"stderr {err!r}"
+    if code == 2:
+        refused = flag is not None and f"error: argument --{flag}: " in err
+        diagnosed = err.startswith("input error: ") or refused
+        return None if diagnosed and not out else f"exit 2, stdout {out!r}, stderr {err!r}"
+    try:
+        json.loads(out, parse_constant=_reject_constant)
+    except ValueError as exc:
+        return f"exit {code}, stdout {out!r}: {exc}"
+    return None
+
+
+def test_extreme_values_keep_the_cli_contract(tmp_path):
+    breaches = []
+    for verb, base in FUZZ_BASES:
+        for path in _float_paths(base):
+            for value in EXTREMES:
+                data = copy.deepcopy(base)
+                parent = data
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+                breach = _contract_breach(verb, data, tmp_path)
+                if breach:
+                    breaches.append((verb, base, path, value, breach))
+    for verb, flag in REAL_FLAGS:
+        for base in (data for v, data in FUZZ_BASES if v == verb):
+            for value in EXTREMES:
+                breach = _contract_breach(verb, base, tmp_path, flag, value)
+                if breach:
+                    breaches.append((verb, base, flag, value, breach))
+    assert not breaches, "\n".join(map(repr, breaches))

@@ -11,6 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import verify_oracle as oracle
+from paper_checks import (adjustor, check_omega_homogeneity, circle_inv, circle_op,
+                          decomposition_check, dichotomy_check, gamma_fd,
+                          popa_isomorphism_check)
 from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           ConstraintViolated, DegenerateExpSolution,
                           DegenerateForm, DimensionMismatch, DomainExhausted,
@@ -18,9 +21,7 @@ from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           LinearCandidate, LinearSolution, NotInGroup,
                           NotInvertible, NotOmegaHomogeneous,
                           PartitionSolution, PartitionSpec,
-                          adjustor, check_omega_homogeneity, circle_inv, circle_op,
-                          complex_plane, decomposition_check, dichotomy_check,
-                          gamma, gamma_fd, hadamard, popa_isomorphism_check,
+                          complex_plane, gamma, hadamard,
                           grid_interval, rho_of, solution_from_json, tilt_inverse,
                           verify_gs)
 from popa_algebra import _kernels, solutions

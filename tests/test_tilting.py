@@ -10,18 +10,18 @@ from hypothesis import given, settings, strategies as hst
 
 import scalar_oracle as oracle
 from conftest import random_partition_spec
+from paper_checks import (_finite_ratio_scalar, adjustor, contraction_radius,
+                          lambda_scale, ratio_limit_check, tilt_path)
 from popa_algebra import (CanonicalSolution, ComplexReImSolution,
                           DegenerateExpSolution, DegenerateForm, Direction,
                           IdempotentSolution, LinearSolution, LogBranchViolation,
                           NoConvergence, NotInvertible, NotOmegaHomogeneous,
-                          PartitionSolution, PartitionSpec, adjustor,
+                          PartitionSolution, PartitionSpec,
                           complex_plane, gamma, grid_interval, hadamard,
-                          lambda_scale, radiality_check, ratio_limit_check,
-                          tilt_T, tilt_inverse, tilt_path,
+                          radiality_check, tilt_T, tilt_inverse,
                           tilt_solve_fixed_point, unboundedness_direction)
 from popa_algebra.algebra import h_scalar, log1p_over_scalar
-from popa_algebra.tilting import (KERNEL_EPS, RESIDUAL_TOL, _finite_ratio_scalar,
-                                  contraction_radius, guarantee_radius)
+from popa_algebra.tilting import KERNEL_EPS, RESIDUAL_TOL, guarantee_radius
 
 E = math.e
 A1, A2, A3 = hadamard(1), hadamard(2), hadamard(3)
