@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import _read
-from .errors import ConstraintViolated, NoConvergence, PopaAlgebraError
+from .errors import ConstraintViolated, NoConvergence, PopaAlgebraError, UnsupportedDimension
 
 # Each verb imports the layers it runs, so that a call loads only those:
 # xi and solve-st load no numpy.
@@ -84,24 +84,29 @@ def _emit(report, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    from .structure import (SigmaMatrix, analyse_sigma, classify_2d,
+    from .structure import (SigmaMatrix, TwoDClass, TwoDClassification, analyse_sigma,
                             classify_partition_2d)
     data = _load_json(args.input)
-    if "sigma" in data and "variant" not in data:   # an IdempotentBuilt solution has a 'sigma'
-        m = SigmaMatrix.from_json(data)
-    else:
+    solution = "variant" in data or "sigma" not in data   # an IdempotentBuilt has a 'sigma'
+    if solution:
         sol = _load_solution(data, args.input)
-        try:
-            result = classify_2d(sol, args.tol)
-        except ConstraintViolated:   # a candidate matrix that is no solution
-            m = SigmaMatrix(sol.gamma_matrix())
-        else:
-            _emit(result.to_json(), args.output)
+        if not sol.algebra.componentwise or sol.algebra.dim != 2:
+            raise UnsupportedDimension("classification applies on the 2-d componentwise algebra")
+        if sol.variant == "DegenerateExp":
+            _emit(TwoDClassification(TwoDClass.DEGENERATE_UNIVARIATE,
+                                     sol.params_json()).to_json(), args.output)
             return 0
+        m = SigmaMatrix(sol.gamma_matrix())
+    else:
+        m = SigmaMatrix.from_json(data)
     analysis = analyse_sigma(m, args.tol)
     report = analysis.to_json()
     if analysis.valid and m.dim == 2:
-        report["class"] = classify_partition_2d(analysis.partition).cls.value
+        two_d = classify_partition_2d(analysis.partition)
+        if solution:
+            report = two_d.to_json()
+        else:
+            report["class"] = two_d.cls.value
     _emit(report, args.output)
     return 0 if analysis.valid else 1
 

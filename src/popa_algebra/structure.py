@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _read
 from .algebra import _Frozen, _adopt, hadamard
-from .errors import ConstraintViolated, UnsupportedDimension
-from .solutions import GsSolution, PartitionSpec
+from .errors import ConstraintViolated
+from .solutions import PartitionSpec
 
 DEFAULT_ROW_TOL = 1e-9
 
@@ -99,11 +99,10 @@ def _components(adj: np.ndarray) -> List[List[int]]:
     return comps
 
 
-def _structure(a: np.ndarray, tol: float) -> Tuple[bool, Optional[PartitionSpec]]:
-    """(valid, spec) for recover_partition and analyse_sigma: valid is False
-    when a coupled pair of rows disagrees, and spec is the partition, or None
-    when the matrix is invalid or a row disagrees with its part's first row
-    (coupled rows agree pairwise but drift along a chain).
+def _structure(a: np.ndarray, tol: float) -> Optional[PartitionSpec]:
+    """The partition of a valid matrix, or None when a coupled pair of rows
+    disagrees or a row disagrees with its part's first row (coupled rows
+    agree pairwise but drift along a chain).
 
     Rows i and j agree when max|a_i - a_j| <= tol * max(1, max|a_i|, max|a_j|).
     A negative tol fails every matrix; a NaN tol couples nothing.
@@ -114,10 +113,11 @@ def _structure(a: np.ndarray, tol: float) -> Tuple[bool, Optional[PartitionSpec]
     or if its column range max_k (max_i a_ik - min_i a_ik) is within
     tol * max(1, min_i max|a_i|), since a rounded difference of two entries
     never exceeds the rounded difference of their column's max and min.
-    Only a part that fails has its rows compared pair by pair.
+    Only a part that fails has its rows compared pair by pair, and the pass
+    stops at the first part whose rows disagree.
     """
     if tol < 0:
-        return False, None
+        return None
     d = a.shape[0]
     coupled = (a > tol) | (a < -tol)
     coupled |= coupled.T
@@ -127,7 +127,6 @@ def _structure(a: np.ndarray, tol: float) -> Tuple[bool, Optional[PartitionSpec]
         for part in _components(coupled):
             lab[part] = part[0]
     rowmax = np.maximum(a.max(axis=1), -a.min(axis=1))
-    drift = False
     with np.errstate(over="ignore"):
         for first in sorted(set(lab[np.any(a != a[lab], axis=1)].tolist())):
             part = np.flatnonzero(lab == first)
@@ -138,29 +137,16 @@ def _structure(a: np.ndarray, tol: float) -> Tuple[bool, Optional[PartitionSpec]
             # first row is the odd one out, no other pair needs comparing
             nb = part[coupled[first, part]]
             if not _rows_agree(a, rowmax, np.full(len(nb), first), nb, tol):
-                return False, None
+                return None
             i, j = np.nonzero(coupled[part])
             i = part[i]
-            if not _rows_agree(a, rowmax, i[i < j], j[i < j], tol):
-                return False, None
-            drift = drift or not _rows_agree(a, rowmax, np.full(len(part) - 1, first),
-                                             part[1:], tol)
-    if drift:
-        return True, None
+            if not (_rows_agree(a, rowmax, i[i < j], j[i < j], tol)
+                    and _rows_agree(a, rowmax, np.full(len(part) - 1, first), part[1:], tol)):
+                return None
     order = np.argsort(lab, kind="stable").tolist()
     ends = np.flatnonzero(np.diff(lab[order], append=d)).tolist()
     parts = tuple(tuple(order[s + 1:e + 1]) for s, e in zip([-1] + ends, ends))
-    return True, PartitionSpec(parts, a[lab, np.arange(d)])
-
-
-def recover_partition(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> PartitionSpec:
-    """Extract the coordinate partition and generator vector of a valid matrix."""
-    valid, spec = _structure(m.entries, tol)
-    if not valid:
-        raise ConstraintViolated("matrix fails the row-coupling constraint")
-    if spec is None:
-        raise ConstraintViolated("coupled rows disagree within a part")
-    return spec
+    return PartitionSpec(parts, a[lab, np.arange(d)])
 
 
 def _svd_rank(a: np.ndarray, compute_uv: bool = False) -> Tuple[int, Optional[np.ndarray]]:
@@ -215,20 +201,6 @@ def classify_partition_2d(spec: PartitionSpec) -> TwoDClassification:
                               {"rho": list(map(float, rho))})
 
 
-def classify_2d(sol: GsSolution, tol: float = DEFAULT_ROW_TOL) -> TwoDClassification:
-    """Assign one of the four two-dimensional classes to a represented solution.
-
-    A linear solution is classified by the partition recovered from its
-    derivative matrix at row tolerance ``tol``, so a candidate matrix that
-    fails the row-coupling constraint raises ConstraintViolated.
-    """
-    if not sol.algebra.componentwise or sol.algebra.dim != 2:
-        raise UnsupportedDimension("classification applies on the 2-d componentwise algebra")
-    if sol.variant == "DegenerateExp":
-        return TwoDClassification(TwoDClass.DEGENERATE_UNIVARIATE, sol.params_json())
-    return classify_partition_2d(recover_partition(SigmaMatrix(sol.gamma_matrix()), tol))
-
-
 class StructureReport(NamedTuple):
     """Outcome of analysing a coefficient matrix."""
 
@@ -261,7 +233,7 @@ def analyse_sigma(m: SigmaMatrix, tol: float = DEFAULT_ROW_TOL) -> StructureRepo
     dimension is d minus the rank that _svd_rank reveals.
     """
     a = m.entries
-    spec = _structure(a, tol)[1]
+    spec = _structure(a, tol)
     if spec is None:
         return StructureReport(False, None, (), m.dim - _svd_rank(a)[0], ())
     alg = hadamard(m.dim)

@@ -416,6 +416,8 @@ FUZZ_BASES = [
     ("classify", PARTITION),
     ("classify", ONE_EXP),
     ("wj", {"solution": PARTITION, "lambda_samples": [[0.5, 0.5], [2.0, 2.0]]}),
+    ("classify", {"variant": "LinearCandidate", "matrix": [[1.0, 2.0], [3.0, 4.0]],
+                  "algebra": HAD2}),
 ]
 
 #: list fields of no fixed length: any number of idempotents or samples is valid
@@ -492,7 +494,7 @@ def test_fuzzed_field_exits_two_with_a_diagnostic(draw, tmp_path_factory):
         json.loads(out, parse_constant=_reject_constant)
 
 
-GOLDEN = sorted(DATA.glob("tilt_golden_*.json"))
+GOLDEN = sorted(DATA.glob("*_golden_*.json"))
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
@@ -509,7 +511,10 @@ def test_tilt_verbs_replay_their_golden_output_byte_for_byte(path, tmp_path):
 
 def test_every_tilt_golden_file_is_replayed():
     assert [p.stem for p in GOLDEN] == [
-        "tilt_golden_canonical_complex", "tilt_golden_canonical_overflow",
+        "classify_golden_candidate_invalid", "classify_golden_canonical",
+        "classify_golden_complex_reim", "classify_golden_idempotent",
+        "classify_golden_one_exp", "classify_golden_partition_2d",
+        "classify_golden_partition_d3", "tilt_golden_canonical_complex", "tilt_golden_canonical_overflow",
         "tilt_golden_grid_partition", "tilt_golden_one_exp", "tilt_golden_partition_d8"]
 
 

@@ -29,8 +29,7 @@ EXPORTS = {
                  "solution_from_json verify_gs",
     "roots": "StSolution st_roots xi_root",
     "special": "WjSolutionOracle WjTriple wj_extract wj_verify",
-    "structure": "SigmaMatrix StructureReport TwoDClass TwoDClassification analyse_sigma "
-                 "classify_2d recover_partition",
+    "structure": "SigmaMatrix StructureReport TwoDClass TwoDClassification analyse_sigma",
     "tilting": "Direction TiltResult UnboundednessVerdict radiality_check tilt_T "
                "tilt_inverse tilt_solve_fixed_point unboundedness_direction",
 }

@@ -11,9 +11,7 @@ import structure_oracle as oracle
 from popa_algebra import structure
 from popa_algebra import (ConstraintViolated, LinearCandidate,
                           PartitionSolution, PartitionSpec, SigmaMatrix,
-                          TwoDClass, UnsupportedDimension, analyse_sigma,
-                          classify_2d, grid_interval, hadamard,
-                          recover_partition, verify_gs)
+                          analyse_sigma, grid_interval, hadamard, verify_gs)
 from popa_algebra import CanonicalSolution, ComplexReImSolution
 from popa_algebra import DegenerateExpSolution, DegenerateForm
 from popa_algebra import IdempotentSolution
@@ -21,6 +19,20 @@ from popa_algebra.cli import main
 from conftest import perturbed_sigma, random_partition_spec
 
 A2 = hadamard(2)
+
+
+def _partition(a, tol=1e-9):
+    """The partition that analyse_sigma recovers from the matrix a, or None."""
+    return analyse_sigma(SigmaMatrix(a), tol).partition
+
+
+def _classify(sol, tmp_path, capsys, *flags):
+    """Exit code and report of the classify verb on a solution file."""
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(sol.to_json()), encoding="utf-8")
+    code = main(["classify", "--input", str(path), *flags])
+    captured = capsys.readouterr()
+    return code, (json.loads(captured.out) if captured.out else captured.err)
 
 
 def test_validate_examples():
@@ -31,20 +43,19 @@ def test_validate_examples():
 
 
 def test_recover_partition_examples():
-    spec = recover_partition(SigmaMatrix([[1, 2], [1, 2]]))
+    spec = _partition([[1, 2], [1, 2]])
     assert spec.parts == ((0, 1),)
     assert np.allclose(spec.rho, [1, 2])
 
-    spec = recover_partition(SigmaMatrix([[5, 0], [0, 7]]))
+    spec = _partition([[5, 0], [0, 7]])
     assert spec.parts == ((0,), (1,))
     assert np.allclose(spec.rho, [5, 7])
 
-    spec = recover_partition(SigmaMatrix([[1, 2, 0], [1, 2, 0], [0, 0, 3]]))
+    spec = _partition([[1, 2, 0], [1, 2, 0], [0, 0, 3]])
     assert spec.parts == ((0, 1), (2,))
     assert np.allclose(spec.rho, [1, 2, 3])
 
-    with pytest.raises(ConstraintViolated):
-        recover_partition(SigmaMatrix([[1, 2], [3, 4]]))
+    assert _partition([[1, 2], [3, 4]]) is None
 
 
 def test_empty_sigma_matrix_is_rejected():
@@ -54,7 +65,7 @@ def test_empty_sigma_matrix_is_rejected():
 
 
 def test_recover_partition_zero_rows_are_trivial_parts():
-    spec = recover_partition(SigmaMatrix([[0, 0], [0, 0]]))
+    spec = _partition([[0, 0], [0, 0]])
     assert spec.parts == ((0,), (1,))
     assert np.allclose(spec.rho, [0, 0])
 
@@ -122,20 +133,18 @@ def test_kernel_vectors_fix_the_unit_image():
                 assert (sol.eval(t * v) - sol.algebra.unit()).norm() < 1e-9
 
 
-def test_classify_examples():
-    co = PartitionSolution(PartitionSpec(((0, 1),), np.array([1.0, 2.0])))
-    assert classify_2d(co).cls is TwoDClass.CO_DEPENDENT
-    ind = PartitionSolution(PartitionSpec(((0,), (1,)), np.array([1.0, 2.0])))
-    assert classify_2d(ind).cls is TwoDClass.INDEPENDENT
-    deg = DegenerateExpSolution(DegenerateForm.ONE_EXP, axis=0, gamma_exp=1.0)
-    assert classify_2d(deg).cls is TwoDClass.DEGENERATE_UNIVARIATE
-    triv = PartitionSolution(PartitionSpec(((0, 1),), np.array([0.0, 0.0])))
-    assert classify_2d(triv).cls is TwoDClass.TRIVIAL
-    can = CanonicalSolution(A2.element([1.0, 2.0]))
-    assert classify_2d(can).cls is TwoDClass.INDEPENDENT
-    idem = IdempotentSolution([A2.element([1, 0]), A2.element([0, 1])],
-                              [1.0, 1.0], A2)
-    assert classify_2d(idem).cls is TwoDClass.INDEPENDENT
+def test_classify_examples(tmp_path, capsys):
+    for sol, want in (
+            (PartitionSolution(PartitionSpec(((0, 1),), np.array([1.0, 2.0]))), "CoDependent"),
+            (PartitionSolution(PartitionSpec(((0,), (1,)), np.array([1.0, 2.0]))), "Independent"),
+            (DegenerateExpSolution(DegenerateForm.ONE_EXP, axis=0, gamma_exp=1.0),
+             "DegenerateUnivariate"),
+            (PartitionSolution(PartitionSpec(((0, 1),), np.array([0.0, 0.0]))), "Trivial"),
+            (CanonicalSolution(A2.element([1.0, 2.0])), "Independent"),
+            (IdempotentSolution([A2.element([1, 0]), A2.element([0, 1])], [1.0, 1.0], A2),
+             "Independent")):
+        code, rep = _classify(sol, tmp_path, capsys)
+        assert (code, rep["class"]) == (0, want)
 
 
 @pytest.mark.parametrize("sol, want", [
@@ -151,20 +160,20 @@ def test_classify_examples():
     (LinearCandidate(np.zeros((2, 2))), "Trivial"),
 ], ids=lambda v: v if isinstance(v, str) else v.variant)
 def test_classify_2d_agrees_with_classify_of_its_matrix(sol, want, tmp_path, capsys):
-    got = classify_2d(sol)
-    assert got.cls.value == want
+    code, got = _classify(sol, tmp_path, capsys)
+    assert (code, got["class"]) == (0, want)
     path = tmp_path / "sigma.json"
     path.write_text(json.dumps({"sigma": sol.gamma_matrix().tolist()}), encoding="utf-8")
     assert main(["classify", "--input", str(path)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["class"] == want
-    assert got.params.get("rho", [0.0, 0.0]) == rep["rho"]
+    assert got["params"].get("rho", [0.0, 0.0]) == rep["rho"]
 
 
 def test_classify_of_a_matrix_uses_its_recovered_partition(tmp_path, capsys):
     # coupled above the row tolerance, with every recovered rho entry below it
     a = [[0.6e-9, 0.0], [1.5e-9, 0.0]]
-    assert classify_2d(LinearCandidate(a)).cls is TwoDClass.CO_DEPENDENT
+    assert _classify(LinearCandidate(a), tmp_path, capsys)[1]["class"] == "CoDependent"
     path = tmp_path / "sigma.json"
     path.write_text(json.dumps({"sigma": a}), encoding="utf-8")
     assert main(["classify", "--input", str(path)]) == 0
@@ -175,7 +184,7 @@ def test_classify_of_a_matrix_uses_its_recovered_partition(tmp_path, capsys):
 
 def test_classify_tol_applies_to_solution_files(tmp_path, capsys):
     a = [[1.0, 2.0], [1.000001, 2.0]]
-    assert classify_2d(LinearCandidate(a), 1e-3).cls is TwoDClass.CO_DEPENDENT
+    assert _partition(a, 1e-3).parts == ((0, 1),)
     for name, data in (("sigma", {"sigma": a}), ("cand", LinearCandidate(a).to_json())):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -185,20 +194,20 @@ def test_classify_tol_applies_to_solution_files(tmp_path, capsys):
 
 def test_classify_invalid_candidate_is_a_constraint_violation(tmp_path, capsys):
     cand = LinearCandidate([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(ConstraintViolated):
-        classify_2d(cand)
-    # the CLI prints the matrix's sigma report instead, and exits 1 (it exited 2)
+    assert _partition(cand.gamma_matrix()) is None
+    # the CLI prints the matrix's sigma report and exits 1 (it exited 2)
     path = tmp_path / "cand.json"
     path.write_text(json.dumps(cand.to_json()), encoding="utf-8")
     assert main(["classify", "--input", str(path)]) == 1
     assert json.loads(capsys.readouterr().out)["valid"] is False
 
 
-def test_classify_wrong_dimension_or_kind():
-    with pytest.raises(UnsupportedDimension):
-        classify_2d(CanonicalSolution(hadamard(3).element([1, 1, 1])))
-    with pytest.raises(UnsupportedDimension):
-        classify_2d(ComplexReImSolution(0.0, 1.0))
+def test_classify_wrong_dimension_or_kind(tmp_path, capsys):
+    for sol in (CanonicalSolution(hadamard(3).element([1, 1, 1])),
+                ComplexReImSolution(0.0, 1.0)):
+        code, err = _classify(sol, tmp_path, capsys)
+        assert code == 2
+        assert err.startswith("input error: UnsupportedDimension: ")
 
 
 def test_factorize_examples():
@@ -249,7 +258,7 @@ def test_factor_check_scales_with_rho(a):
     # a valid matrix stays valid however large its generators are
     rep = analyse_sigma(SigmaMatrix(a))
     assert rep.valid
-    spec = recover_partition(SigmaMatrix(a))
+    spec = rep.partition
     assert rep.factors == tuple((tuple(i + 1 for i in part), tuple(spec.rho[j] for j in part))
                                 for part in spec.parts)
 
@@ -294,10 +303,10 @@ def test_roundtrip_idempotence():
         spec = random_partition_spec(rng, int(rng.integers(1, 7)))
         m = SigmaMatrix(spec.sigma_matrix())
         assert analyse_sigma(m).valid
-        rec = recover_partition(m)
+        rec = analyse_sigma(m).partition
         m2 = SigmaMatrix(rec.sigma_matrix())
         assert np.allclose(m.entries, m2.entries)
-        rec2 = recover_partition(m2)
+        rec2 = analyse_sigma(m2).partition
         assert rec2.parts == rec.parts
         assert np.allclose(rec2.rho, rec.rho)
 
@@ -308,8 +317,8 @@ def test_soundness_small():
         spec = random_partition_spec(rng, 4)
         assert verify_gs(PartitionSolution(spec), 2000, seed=1).max_gs_residual < 1e-10
         bad = perturbed_sigma(rng, spec)
-        with pytest.raises(ConstraintViolated, match="row-coupling"):
-            recover_partition(bad)
+        assert analyse_sigma(bad).partition is None
+        assert not oracle.validate_sigma(bad, 1e-9)   # a coupled pair disagrees
         cand = LinearCandidate(bad.entries)
         assert verify_gs(cand, 2000, seed=1).max_gs_residual > 1e-6
 
@@ -326,7 +335,7 @@ def test_grid_solutions():
     assert np.allclose(got.coords, [7, 7, 7])
 
     mixed = PartitionSolution(PartitionSpec(((0, 1), (2,)), [1.0, 2.0, 3.0]), alg)
-    rec = recover_partition(SigmaMatrix(mixed.gamma_matrix()))
+    rec = _partition(mixed.gamma_matrix())
     assert rec.parts == ((0, 1), (2,))
     assert np.allclose(rec.rho, [1, 2, 3])
 
@@ -354,12 +363,15 @@ def test_each_request_validates_once(monkeypatch, tmp_path, capsys):
         calls.clear()
         analyse_sigma(SigmaMatrix(a), tol)
         assert len(calls) == 1
-    calls.clear()
-    recover_partition(SigmaMatrix(np.ones((5, 5))))
-    assert len(calls) == 1
-    calls.clear()
-    classify_2d(PartitionSolution(PartitionSpec(((0, 1),), [1.0, 2.0])))
-    assert len(calls) == 1
+    # a solution file: a failing candidate, a valid partition, and a One_Exp,
+    # which is classified by its variant alone
+    for sol, code, passes in (
+            (LinearCandidate([[1, 2], [3, 4]]), 1, 1),
+            (PartitionSolution(PartitionSpec(((0, 1),), [1.0, 2.0])), 0, 1),
+            (DegenerateExpSolution(DegenerateForm.ONE_EXP, axis=0, gamma_exp=1.3), 0, 0)):
+        calls.clear()
+        assert _classify(sol, tmp_path, capsys)[0] == code
+        assert len(calls) == passes, sol.variant
     calls.clear()
     path = tmp_path / "sigma.json"
     path.write_text(json.dumps({"sigma": [[1, 2], [1, 2]]}), encoding="utf-8")
@@ -372,16 +384,16 @@ def test_each_request_validates_once(monkeypatch, tmp_path, capsys):
 # the blocked validation against the plain-loop oracle in structure_oracle.py
 # ---------------------------------------------------------------------------
 
-def _outcome(recover, m, tol):
-    try:
-        spec = recover(m, tol)
-    except ConstraintViolated as exc:
-        return str(exc)
-    return spec.parts, spec.rho.tolist()
+def _outcome(spec):
+    return None if spec is None else (spec.parts, spec.rho.tolist())
 
 
 def _agrees_with_oracle(m, tol):
-    assert _outcome(recover_partition, m, tol) == _outcome(oracle.recover_partition, m, tol)
+    try:
+        want = oracle.recover_partition(m, tol)
+    except ConstraintViolated:   # an invalid matrix, or rows that drift within a part
+        want = None
+    assert _outcome(analyse_sigma(m, tol).partition) == _outcome(want)
 
 
 def _chain(perm, unit):
@@ -491,8 +503,9 @@ def test_edge_tolerances_match_plain_loops(a, tol):
 
 
 def test_chain_fails_the_part_row_check():
+    assert _partition(CHAIN, 1e-3) is None
     with pytest.raises(ConstraintViolated, match="disagree within a part"):
-        recover_partition(SigmaMatrix(CHAIN), 1e-3)
+        oracle.recover_partition(SigmaMatrix(CHAIN), 1e-3)
 
 
 def test_broken_pair_at_each_block_boundary():
@@ -508,8 +521,7 @@ def test_broken_pair_at_each_block_boundary():
         # rows i and j each lie 1.5 tol from the rest but 3 tol from each other
         a[i, 0] += 1.5 * tol
         a[j, 0] -= 1.5 * tol
-        with pytest.raises(ConstraintViolated, match="row-coupling"):
-            recover_partition(SigmaMatrix(a), tol)
+        assert _partition(a, tol) is None, k
         assert not oracle.validate_sigma(SigmaMatrix(a), tol), k
         a[j, 0] = rho[0]
-        recover_partition(SigmaMatrix(a), tol)
+        assert _partition(a, tol) is not None, k
