@@ -25,7 +25,7 @@ _EXPORTS = {
                   "PartitionSpec", "gamma", "rho_of", "solution_from_json",
                   "verify_gs"),
     "roots": ("StSolution", "st_roots", "xi_root"),
-    "special": ("WjSolutionOracle", "WjTriple", "wj_extract", "wj_verify"),
+    "special": ("WjSolutionOracle", "WjTriple", "wj_extract"),
     "structure": ("SigmaMatrix", "StructureReport", "TwoDClass",
                   "TwoDClassification", "analyse_sigma"),
     "tilting": ("Direction", "TiltResult", "UnboundednessVerdict", "radiality_check",

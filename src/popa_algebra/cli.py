@@ -187,6 +187,7 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_wj(args) -> int:
+    import numpy as np
     from .special import WjSolutionOracle, wj_extract
     data = _load_json(args.input)
     sol = _load_solution(data, args.input)
@@ -194,13 +195,14 @@ def _cmd_wj(args) -> int:
                or _read.fail("'lambda_samples'", "a non-empty list", []))
     lams = [_load_point(s, f"'lambda_samples'[{i}]", sol, args.input)
             for i, s in enumerate(samples)]
-    triple = wj_extract(sol, lams, tol=args.tol)
-    oracle = WjSolutionOracle(triple, tol=max(args.tol, 1e-9))
-    worst = 0.0
-    for lam in oracle.covered_values():
-        x = triple.section(lam)
-        worst = max(worst, (sol.eval(x) - oracle.eval(x)).norm())
-    covered_residual = oracle.gs_residual_on_covered(seed=args.seed)
+    with np.errstate(all="ignore"):   # as in solve-tilt: a product that overflows is inf
+        triple = wj_extract(sol, lams, tol=args.tol)
+        oracle = WjSolutionOracle(triple, tol=max(args.tol, 1e-9))
+        worst = 0.0
+        for lam in oracle.covered_values():
+            x = triple.section(lam)
+            worst = max(worst, (sol.eval(x) - oracle.eval(x)).norm())
+        covered_residual = oracle.gs_residual_on_covered(seed=args.seed)
     out = {"verified": True,
            "kernel_dim": len(triple.kernel_basis),
            "covered_values": len(oracle.covered_values()),

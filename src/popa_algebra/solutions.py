@@ -183,6 +183,8 @@ class LinearSolution(GsSolution):
             M.flags.writeable = False
         self._M = M
         self._parts = parts
+        # every part a singleton: gamma is rho * x, with no part sum to turn -0.0 into 0.0
+        self._singletons = parts is not None and parts[0].max() + 1 == len(parts[0])
         self.algebra = algebra
         self.variant = variant
         self._params = params
@@ -192,7 +194,7 @@ class LinearSolution(GsSolution):
         if self._parts is None:
             return self._M @ x
         ids, rho = self._parts
-        return np.bincount(ids, weights=rho * x)[ids]
+        return rho * x if self._singletons else np.bincount(ids, weights=rho * x)[ids]
 
     def eval(self, x: Element) -> Element:
         return self.algebra.unit() + self.gamma(x)

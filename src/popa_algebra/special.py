@@ -54,102 +54,92 @@ class WjTriple(_Frozen):
         return c
 
 
-def wj_verify(t: WjTriple, tol: float = 1e-9) -> bool:
-    """Check the three triple conditions on all sample pairs.
-
-    (i) the samples map the kernel into itself, (ii) the section lands in
-    the kernel exactly at the unit, (iii) the section is a crossed
-    homomorphism modulo the kernel.
-    """
-    unit = t.algebra.unit()
-
-    def off_kernel(x: Element) -> float:
-        return float(np.max(np.abs(t.complement_part(x))))
-
-    for lam in t.lambda_samples:
-        if not lam.is_invertible():
-            return False
-        for v in t.kernel_basis:
-            if off_kernel(lam * v) > tol * max(1.0, (lam * v).norm()):
-                return False
-
-    def cond_two(lam: Element) -> bool:
-        is_unit = (lam - unit).norm() <= tol
-        w = t.section(lam)
-        in_kernel = off_kernel(w) <= tol * max(1.0, w.norm())
-        return is_unit == in_kernel
-
-    pairs = [(l1, l2) for l1 in t.lambda_samples for l2 in t.lambda_samples]
-    for lam in t.lambda_samples:
-        if not cond_two(lam):
-            return False
-    for l1, l2 in pairs:
-        if not cond_two(l1 * l2):
-            return False
-        diff = t.section(l1 * l2) - t.section(l1) - l1 * t.section(l2)
-        if off_kernel(diff) > tol * max(1.0, t.section(l1 * l2).norm()):
-            return False
-    return True
-
-
 class WjSolutionOracle:
-    """The solution map reconstructed from a verified triple.
+    """The solution map reconstructed from a triple, checked on construction.
 
-    Evaluates to the matching target value on points congruent to a
-    section image modulo the kernel, and to zero elsewhere.
+    The constructor checks the three triple conditions on every sample and
+    every ordered pair of samples, raising InvalidTriple at the first that
+    fails: (i) the samples map the kernel into itself, (ii) the section
+    lands in the kernel exactly at the unit, (iii) the section is a crossed
+    homomorphism modulo the kernel.  The oracle evaluates to the matching
+    target value on points congruent to a section image modulo the kernel,
+    and to zero elsewhere.
     """
 
     def __init__(self, triple: WjTriple, tol: float = 1e-9):
-        if not wj_verify(triple, tol):
-            raise InvalidTriple("triple fails its defining conditions")
-        self.triple = triple
-        self.tol = tol
-        lams = list(triple.lambda_samples)
-        lams += [l1 * l2 for l1 in triple.lambda_samples
-                 for l2 in triple.lambda_samples]
-        self._table = []
+        self.triple, self.tol = triple, tol
+        lams, unit = triple.lambda_samples, triple.algebra.unit()
+
+        def off_kernel(x: Element) -> float:
+            return float(np.max(np.abs(triple.complement_part(x))))
+
+        def require(ok: bool):
+            if not ok:
+                raise InvalidTriple("triple fails its defining conditions")
+
+        def section(lam: Element) -> Element:   # condition (ii) at lam
+            is_unit = (lam - unit).norm() <= tol
+            w = triple.section(lam)
+            require(is_unit == (off_kernel(w) <= tol * max(1.0, w.norm())))
+            return w
+
         for lam in lams:
-            if any((lam - known).norm() <= tol for known, _ in self._table):
-                continue
-            self._table.append((lam, triple.complement_part(triple.section(lam))))
-        self._reps = np.array([rep for _, rep in self._table])
+            require(lam.is_invertible())
+            for lv in (lam * v for v in triple.kernel_basis):
+                require(not off_kernel(lv) > tol * max(1.0, lv.norm()))
+        sampled = list(zip(lams, map(section, lams)))
+        self._sections = np.array([w.coords for _, w in sampled]).T
+        values = list(sampled)
+        for l1, w1 in sampled:
+            for l2, w2 in sampled:
+                lam = l1 * l2
+                w = section(lam)
+                require(not off_kernel(w - w1 - l1 * w2) > tol * max(1.0, w.norm()))
+                values.append((lam, w))
+        table = []
+        for lam, w in values:
+            if not any((lam - known).norm() <= tol for known, _ in table):
+                table.append((lam, triple.complement_part(w)))
+        self._covered = [lam for lam, _ in table]
+        self._reps = np.array([rep for _, rep in table]).T
+        self._values = np.array([lam.coords for lam in self._covered]).T
 
     def covered_values(self) -> List[Element]:
-        return [lam for lam, _ in self._table]
+        return list(self._covered)
 
     def eval(self, x: Element) -> Element:
-        cx = self.triple.complement_part(x)
-        scale = max(1.0, float(np.max(np.abs(cx))))
-        hits = np.flatnonzero(np.abs(cx - self._reps).max(axis=1) <= self.tol * scale)
-        return self._table[hits[0]][0] if hits.size else x.algebra.zero()
+        return x.algebra.element(self._lookup(x.coords[:, None])[:, 0])
+
+    def _lookup(self, points: np.ndarray) -> np.ndarray:
+        """Oracle values at a (d, m) block of points: for each column, the first
+        covered value whose section matches it modulo the kernel, else zero."""
+        k = self.triple.kernel_matrix
+        cx = points - k.T @ (k @ points)
+        bound = self.tol * np.fmax(1.0, np.abs(cx).max(axis=0))
+        hit = np.full(cx.shape[1], -1)
+        for t in reversed(range(self._reps.shape[1])):   # the first match is written last
+            hit[np.abs(cx - self._reps[:, t, None]).max(axis=0) <= bound] = t
+        return np.where(hit >= 0, self._values[:, hit], 0.0)
 
     def gs_residual_on_covered(self, seed: int = 0) -> float:
         """Composition-law residual over 200 sampled pairs of covered points.
 
         Pairs are drawn from the generating samples so that their products
-        stay inside the covered table.
+        stay inside the covered table; each point is a sample's section plus
+        a uniform kernel vector.
         """
         rng = np.random.default_rng(seed)
         k = self.triple.kernel_matrix
-        worst = 0.0
-        lams = list(self.triple.lambda_samples)
-        reps = [self.triple.section(lam) for lam in lams]
-        for _ in range(200):
-            i = int(rng.integers(len(lams)))
-            j = int(rng.integers(len(lams)))
-            l1, l2 = lams[i], lams[j]
-            x1 = reps[i] + self._kernel_noise(rng, k)
-            x2 = reps[j] + self._kernel_noise(rng, k)
-            s1, s2 = self.eval(x1), self.eval(x2)
-            z = x1 + s1 * x2
-            worst = max(worst, (self.eval(z) - s1 * s2).norm())
-        return worst
-
-    def _kernel_noise(self, rng, k) -> Element:
-        alg = self.triple.algebra
-        if not k.shape[0]:
-            return alg.zero()
-        return alg.element(k.T @ rng.uniform(-0.5, 0.5, size=k.shape[0]))
+        n, m = self._sections.shape[1], k.shape[0]
+        draws = [(rng.integers(n), rng.integers(n), rng.uniform(-0.5, 0.5, m),
+                  rng.uniform(-0.5, 0.5, m)) for _ in range(200)]
+        i, j, u1, u2 = map(np.array, zip(*draws))
+        x1 = self._sections[:, i] + k.T @ u1.T
+        x2 = self._sections[:, j] + k.T @ u2.T
+        s1, s2 = self._lookup(x1), self._lookup(x2)
+        mul, norm = self.triple.algebra.mul, self.triple.algebra.norm
+        residuals = self._lookup(x1 + mul(s1, x2)) - mul(s1, s2)
+        return max(0.0, *map(norm, residuals.T))
 
 
 def wj_extract(sol: GsSolution, lambda_samples: Sequence[Element],

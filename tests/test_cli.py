@@ -499,14 +499,16 @@ GOLDEN = sorted(DATA.glob("*_golden_*.json"))
 
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
 def test_tilt_verbs_replay_their_golden_output_byte_for_byte(path, tmp_path):
-    # each file: an input, and per verb the stdout and exit code it gave
+    # each file: an input, and per run a verb, its optional flags, and the
+    # stdout and exit code it gave
     golden = json.loads(path.read_text(encoding="utf-8"))
     src = _write(tmp_path, "in.json", golden["input"])
     for run in golden["runs"]:
+        args = [run["verb"], "--input", src, *run.get("args", [])]
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main([run["verb"], "--input", src])
-        assert (code, out.getvalue()) == (run["exit_code"], run["stdout"]), run["verb"]
+            code = main(args)
+        assert (code, out.getvalue()) == (run["exit_code"], run["stdout"]), args
 
 
 def test_every_tilt_golden_file_is_replayed():
@@ -515,7 +517,9 @@ def test_every_tilt_golden_file_is_replayed():
         "classify_golden_complex_reim", "classify_golden_idempotent",
         "classify_golden_one_exp", "classify_golden_partition_2d",
         "classify_golden_partition_d3", "tilt_golden_canonical_complex", "tilt_golden_canonical_overflow",
-        "tilt_golden_grid_partition", "tilt_golden_one_exp", "tilt_golden_partition_d8"]
+        "tilt_golden_grid_partition", "tilt_golden_one_exp", "tilt_golden_partition_d8",
+        "wj_golden_canonical_complex", "wj_golden_canonical_near_duplicate",
+        "wj_golden_not_in_range", "wj_golden_partition_d3", "wj_golden_partition_d6"]
 
 
 def test_solve_tilt_stops_on_the_backward_error(tmp_path, capsys):
@@ -564,6 +568,16 @@ OVERFLOWS = {
     "classify-full-rank-near-max": ("classify", {"sigma": [[1e308, 1e308], [1e308, 9e307]]}, 1),
     "classify-opposite-rows-near-max": ("classify", {"sigma": [[1e308, -1e308],
                                                                 [1e308, 1e308]]}, 1),
+    # the product of two lambda samples overflows: the inf sample's section
+    # counts as in the kernel away from the unit, which fails the triple
+    "wj-canonical-product-overflow": ("wj", {
+        "solution": {"variant": "Canonical", "rho": [1.0], "algebra": {"kind": "HadamardRd",
+                                                                       "dim": 1}},
+        "lambda_samples": [[1e200], [2.0]]}, 2),
+    # the same overflow on a partition solution; its residuals are inf
+    "wj-partition-product-overflow": ("wj", {
+        "solution": dict(PARTITION, rho=[1.0, 1.0]),
+        "lambda_samples": [[1e200, 1e200], [2.0, 2.0]]}, 1),
 }
 
 #: the kernel dimension of each classify case above: 2 minus the matrix's rank

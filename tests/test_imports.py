@@ -28,7 +28,7 @@ EXPORTS = {
                  "LinearSolution PartitionSolution PartitionSpec gamma rho_of "
                  "solution_from_json verify_gs",
     "roots": "StSolution st_roots xi_root",
-    "special": "WjSolutionOracle WjTriple wj_extract wj_verify",
+    "special": "WjSolutionOracle WjTriple wj_extract",
     "structure": "SigmaMatrix StructureReport TwoDClass TwoDClassification analyse_sigma",
     "tilting": "Direction TiltResult UnboundednessVerdict radiality_check tilt_T "
                "tilt_inverse tilt_solve_fixed_point unboundedness_direction",

@@ -74,6 +74,16 @@ def test_eval_canonical():
     assert np.allclose(sol.eval(A2.zero()).coords, [1, 1])
 
 
+def test_gamma_on_singleton_parts_keeps_the_sign_of_zero():
+    # rho * x, with no part sum: a scatter-add would turn -1 * 0.0 into +0.0
+    x = A3.element([0.0, -0.0, 1.0])
+    for sol in (CanonicalSolution(A3.element([-1.0, 2.0, 0.5])),
+                PartitionSolution(PartitionSpec(((0,), (1,), (2,)), [-1.0, 2.0, 0.5]))):
+        got = sol.gamma(x).coords
+        assert got.tolist() == [0.0, 0.0, 0.5]
+        assert np.signbit(got).tolist() == [True, True, False]
+
+
 def test_eval_codependent_instance():
     sol = codependent(1.0, 2.0)
     assert np.allclose(sol.eval(A2.element([1, 3])).coords, [8, 8])

@@ -1,6 +1,7 @@
 """Transcendental roots, kernel/group/section triples, idempotent builder."""
 
 import cmath
+import json
 import math
 
 import mpmath
@@ -11,7 +12,9 @@ from popa_algebra import (CanonicalSolution, IdempotentSolution, InvalidTriple,
                           NotInRange, NotOrthogonalIdempotents,
                           PartitionSolution, PartitionSpec, WjSolutionOracle,
                           WjTriple, complex_plane, grid_interval, hadamard,
-                          st_roots, verify_gs, wj_extract, wj_verify, xi_root)
+                          solution_from_json, st_roots, verify_gs, wj_extract,
+                          xi_root)
+from popa_algebra.cli import main
 from popa_algebra.roots import st_residual
 
 A1, A2 = hadamard(1), hadamard(2)
@@ -145,8 +148,8 @@ def _scalar_triple(section):
 
 
 def test_wj_verify_affine_section():
-    triple = _scalar_triple(lambda lam: A1.element([lam.coords[0] - 1.0]))
-    assert wj_verify(triple)
+    # the oracle's constructor is the triple check
+    WjSolutionOracle(_scalar_triple(lambda lam: A1.element([lam.coords[0] - 1.0])))
 
 
 def test_wj_verify_rejects_quadratic_section():
@@ -155,7 +158,6 @@ def test_wj_verify_rejects_quadratic_section():
     triple = _scalar_triple(lambda lam: A1.element([lam.coords[0] ** 2 - 1.0]))
     w4 = 4.0 ** 2 - 1.0
     assert w4 == 15.0 and (2.0 ** 2 - 1.0) * 3.0 == 9.0
-    assert not wj_verify(triple)
     with pytest.raises(InvalidTriple):
         WjSolutionOracle(triple)
 
@@ -176,7 +178,8 @@ def _shift(lam):
 def test_wj_verify_rejects_each_condition(kernel, samples, section):
     alg = A2 if kernel else A1
     triple = WjTriple(kernel, tuple(alg.element(c) for c in samples), section)
-    assert wj_verify(triple) is False
+    with pytest.raises(InvalidTriple):
+        WjSolutionOracle(triple)
 
 
 def test_kernel_matrix_spans_a_repeated_basis():
@@ -203,7 +206,7 @@ def test_wj_extract_canonical():
     sol = CanonicalSolution(A1.element([1.0]))
     lams = [A1.element([0.5]), A1.element([2.0]), A1.element([4.0])]
     triple = wj_extract(sol, lams)
-    assert wj_verify(triple)
+    WjSolutionOracle(triple)
     assert np.allclose(triple.section(A1.element([2.0])).coords, [1.0])
     assert len(triple.kernel_basis) == 0
 
@@ -212,7 +215,7 @@ def test_wj_extract_codependent():
     sol = PartitionSolution(PartitionSpec(((0, 1),), np.array([1.0, 1.0])))
     lam = A2.element([1.4, 1.4])
     triple = wj_extract(sol, [lam, A2.element([0.8, 0.8])])
-    assert wj_verify(triple)
+    WjSolutionOracle(triple)
     assert np.allclose(triple.section(lam).coords, [0.2, 0.2])
     assert len(triple.kernel_basis) == 1
     with pytest.raises(NotInRange):
@@ -232,6 +235,99 @@ def test_wj_roundtrip_matches_solution_mod_kernel():
             shift = A2.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
             x = base + shift
             assert (oracle.eval(x) - sol.eval(x)).norm() < 1e-10
+
+
+#: a d = 6 partition solution with a 4-dimensional kernel, and three values
+#: constant on its parts: nine covered values
+_D6_SOLUTION = {"variant": "Partition", "parts": [[1, 3, 5], [2, 4, 6]],
+                "rho": [0.26, 0.30, 0.44, 0.29, 0.34, 0.16],
+                "algebra": {"kind": "HadamardRd", "dim": 6}}
+_D6_SAMPLES = [[1.23, 1.15] * 3, [0.93, 1.37] * 3, [1.13, 1.31] * 3]
+
+
+def test_wj_oracle_computes_each_section_once():
+    sol = solution_from_json(_D6_SOLUTION)
+    base = wj_extract(sol, [sol.algebra.element(c) for c in _D6_SAMPLES])
+    calls = []
+
+    def section(lam):
+        calls.append(lam)
+        return base.section(lam)
+
+    oracle = WjSolutionOracle(WjTriple(base.kernel_basis, base.lambda_samples, section))
+    n = len(_D6_SAMPLES)
+    assert len(calls) == n + n * n   # each sample, then each ordered pair's product
+    oracle.gs_residual_on_covered(seed=1)
+    assert len(calls) == n + n * n   # the residual reuses the samples' sections
+
+
+def test_wj_oracle_takes_the_first_covered_value_that_matches():
+    # 2.0000000005 is within tol of 2, so only its products are added; the
+    # sections of 4.000000001 and 4.000000002 are within tol * 3 of 4's
+    sol = CanonicalSolution(A1.element([1.0]))
+    oracle = WjSolutionOracle(wj_extract(sol, [A1.element([2.0]), A1.element([2.0000000005])]))
+    covered = [lam.coords[0] for lam in oracle.covered_values()]
+    assert covered == [2.0, 4.0, 2.0 * 2.0000000005, 2.0000000005 ** 2]
+    for lam in covered[1:]:
+        assert oracle.eval(A1.element([lam - 1.0])).coords.tolist() == [4.0]
+
+
+def _covered_residual_per_pair(oracle, seed):
+    """The per-pair loop that the oracle's three-block residual replaced."""
+    rng = np.random.default_rng(seed)
+    triple = oracle.triple
+    k = triple.kernel_matrix
+    sections = [triple.section(lam) for lam in triple.lambda_samples]
+    worst = 0.0
+    for _ in range(200):
+        i = int(rng.integers(len(sections)))
+        j = int(rng.integers(len(sections)))
+        x1 = sections[i] + triple.algebra.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
+        x2 = sections[j] + triple.algebra.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
+        s1, s2 = oracle.eval(x1), oracle.eval(x2)
+        worst = max(worst, (oracle.eval(x1 + s1 * x2) - s1 * s2).norm())
+    return worst
+
+
+@pytest.mark.parametrize("solution, samples", [
+    ({"variant": "Canonical", "rho": [1.0], "algebra": {"kind": "HadamardRd", "dim": 1}},
+     [[2.0], [3.0], [6.0000000001]]),   # 6 and 6.0000000001 share a table entry
+    ({"variant": "Partition", "parts": [[1, 2], [3]], "rho": [0.5, -0.3, 0.2],
+      "algebra": {"kind": "HadamardRd", "dim": 3}}, [[2.0] * 3, [3.0] * 3, [6.0000000003] * 3]),
+    ({"variant": "Canonical", "rho": [0.5, 0.7], "algebra": {"kind": "ComplexAsR2", "dim": 2}},
+     [[1.2, 0.3], [0.8, -0.5], [1.1, 0.1]]),
+    (_D6_SOLUTION, _D6_SAMPLES),
+], ids=["near-duplicate", "partition-d3", "complex", "partition-d6"])
+def test_covered_residual_matches_the_per_pair_loop(solution, samples):
+    sol = solution_from_json(solution)
+    oracle = WjSolutionOracle(wj_extract(sol, [sol.algebra.element(c) for c in samples]))
+    for seed in range(4):
+        assert oracle.gs_residual_on_covered(seed) == _covered_residual_per_pair(oracle, seed)
+
+
+def test_one_wj_request_computes_24_sections(tmp_path, monkeypatch, capsys):
+    # every section call of wj_extract's triple makes one product with the
+    # pseudo-inverse, so counting those products counts the section calls
+    calls = []
+    pinv = np.linalg.pinv
+
+    class Counted:
+        def __init__(self, matrix):
+            self.matrix = matrix
+
+        def __matmul__(self, target):
+            calls.append(target)
+            return self.matrix @ target
+
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **kw: Counted(pinv(*a, **kw)))
+    path = tmp_path / "wj.json"
+    path.write_text(json.dumps({"solution": _D6_SOLUTION, "lambda_samples": _D6_SAMPLES}),
+                    encoding="utf-8")
+    assert main(["wj", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["kernel_dim"], report["covered_values"]) == (4, 9)
+    # 3 in wj_extract, 3 + 3 * 3 in the oracle, one per covered value in the match loop
+    assert len(calls) == 3 + 12 + 9
 
 
 # ---------------------------------------------------------------------------
