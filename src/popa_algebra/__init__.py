@@ -15,7 +15,7 @@ _EXPORTS = {
                 "grid_interval", "hadamard"),
     "errors": ("ConstraintViolated", "DimensionMismatch", "DomainExhausted",
                "InvalidTriple", "LogBranchViolation", "NoConvergence",
-               "NotDifferentiable", "NotInGroup", "NotInRange", "NotInvertible",
+               "NotDifferentiable", "NotInGroup", "NotInRange",
                "NotOmegaHomogeneous", "NotOrthogonalIdempotents",
                "PopaAlgebraError", "UnitNotInGroup", "UnsupportedDimension"),
     "solutions": ("CanonicalSolution", "ComplexReImSolution",

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _read
-from .errors import DimensionMismatch, LogBranchViolation, NotInvertible
+from .errors import DimensionMismatch
 
 #: spectral points with modulus below this count as zero for invertibility
 INVERTIBILITY_EPS = 1e-12
@@ -139,9 +139,6 @@ class AlgebraDescriptor(_Frozen):
             object.__setattr__(self, "_unit", _adopt(coords, self))
         return self._unit
 
-    def zero(self) -> "Element":
-        return self.element(np.zeros(self.dim))
-
     def to_json(self) -> dict:
         out = {"kind": self.kind.value, "dim": self.dim}
         if self.grid is not None:
@@ -247,11 +244,6 @@ class Element(_Frozen):
     def is_invertible(self) -> bool:
         return float(np.min(np.abs(self.spectrum()))) > INVERTIBILITY_EPS
 
-    def invert(self) -> "Element":
-        if not self.is_invertible():
-            raise NotInvertible(f"spectral point within {INVERTIBILITY_EPS} of 0")
-        return self.apply_scalar(np.reciprocal)
-
     # -- functional calculus ---------------------------------------------
 
     def apply_scalar(self, fn) -> "Element":
@@ -273,19 +265,10 @@ class Element(_Frozen):
         w = complex(fn(np.array([self.as_complex()]))[0])
         return _adopt(np.array([w.real, w.imag]), self.algebra)
 
-    def exp(self) -> "Element":
-        return self.apply_scalar(np.exp)
-
     def in_log_branch(self) -> bool:
         """Whether the spectrum avoids (-inf, 0], the principal log's cut."""
         z = self.spectrum()
         return not np.any((z.imag == 0.0) & (z.real <= 0.0))
-
-    def log(self) -> "Element":
-        """Principal logarithm; spectrum must avoid (-inf, 0]."""
-        if not self.in_log_branch():
-            raise LogBranchViolation("spectral point on (-inf, 0]")
-        return self.apply_scalar(np.log)
 
     def mu(self) -> "Element":
         """Tilting multiplier (e^z - 1)/z per spectral point, 1 at z = 0."""

@@ -60,6 +60,14 @@ def _load_point(raw, where: str, sol, path: str):
         raise _InputError(f"bad element {where} in {path}: {exc}")
 
 
+def _case(args, *points):
+    """The input file, its solution, and the point under each named field, read in that order."""
+    data = _load_json(args.input)
+    sol = _load_solution(data, args.input)
+    return (data, sol, *(_load_point(_read.get(data, name, ""), f"'{name}'", sol, args.input)
+                         for name in points))
+
+
 def _strict(obj):
     """Copy of a report with each non-finite float spelled as a string."""
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -80,10 +88,10 @@ def _emit(report, output: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report and whether the request passed
 # ---------------------------------------------------------------------------
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     from .structure import (SigmaMatrix, TwoDClass, TwoDClassification, analyse_sigma,
                             classify_partition_2d)
     data = _load_json(args.input)
@@ -93,9 +101,8 @@ def _cmd_classify(args) -> int:
         if not sol.algebra.componentwise or sol.algebra.dim != 2:
             raise UnsupportedDimension("classification applies on the 2-d componentwise algebra")
         if sol.variant == "DegenerateExp":
-            _emit(TwoDClassification(TwoDClass.DEGENERATE_UNIVARIATE,
-                                     sol.params_json()).to_json(), args.output)
-            return 0
+            return TwoDClassification(TwoDClass.DEGENERATE_UNIVARIATE,
+                                      sol.params_json()).to_json(), True
         m = SigmaMatrix(sol.gamma_matrix())
     else:
         m = SigmaMatrix.from_json(data)
@@ -107,90 +114,72 @@ def _cmd_classify(args) -> int:
             report = two_d.to_json()
         else:
             report["class"] = two_d.cls.value
-    _emit(report, args.output)
-    return 0 if analysis.valid else 1
+    return report, analysis.valid
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .solutions import verify_gs
-    data = _load_json(args.input)
-    sol = _load_solution(data, args.input)
+    _, sol = _case(args)
     report = verify_gs(sol, n_samples=args.samples, seed=args.seed,
                        box_radius=args.box_radius)
-    out = {"solution": sol.to_json(),
-           "params": {"samples": args.samples, "seed": args.seed,
-                      "box_radius": args.box_radius, "tol": args.tol},
-           "results": report.to_json()}
-    _emit(out, args.output)
-    return 0 if report.max_gs_residual <= args.tol else 1
+    return ({"solution": sol.to_json(),
+             "params": {"samples": args.samples, "seed": args.seed,
+                        "box_radius": args.box_radius, "tol": args.tol},
+             "results": report.to_json()}, report.max_gs_residual <= args.tol)
 
 
-def _cmd_tilt(args) -> int:
+def _cmd_tilt(args):
     from .tilting import tilt_T
-    data = _load_json(args.input)
-    sol = _load_solution(data, args.input)
-    u = _load_point(_read.get(data, "u", ""), "'u'", sol, args.input)
+    _, sol, u = _case(args, "u")
     tilt = tilt_T(sol, u)
     if not all(map(math.isfinite, tilt.coords)):
         raise _InputError(f"bad element 'u' in {args.input}: its tilt T(u) "
                           f"overflows to a non-finite value")
-    _emit({"u": u.to_json(), "tilt": tilt.to_json()}, args.output)
-    return 0
+    return {"u": u.to_json(), "tilt": tilt.to_json()}, True
 
 
-def _cmd_invert_tilt(args) -> int:
+def _cmd_invert_tilt(args):
     from .tilting import tilt_T, tilt_inverse
-    data = _load_json(args.input)
-    sol = _load_solution(data, args.input)
-    v = _load_point(_read.get(data, "v", ""), "'v'", sol, args.input)
+    _, sol, v = _case(args, "v")
     u = tilt_inverse(sol, v)
     residual = (tilt_T(sol, u) - v).norm()
-    _emit({"v": v.to_json(), "u": u.to_json(), "residual": residual},
-          args.output)
     # a backward-error gate: in doubles the residual of the best u is a few
     # ulps of |v|, so an absolute --tol cannot be met at large |v|
-    return 0 if residual <= args.tol * max(1.0, v.norm()) else 1
+    return ({"v": v.to_json(), "u": u.to_json(), "residual": residual},
+            residual <= args.tol * max(1.0, v.norm()))
 
 
-def _cmd_solve_tilt(args) -> int:
+def _cmd_solve_tilt(args):
     from .tilting import tilt_solve_fixed_point
-    data = _load_json(args.input)
-    sol = _load_solution(data, args.input)
-    v = _load_point(_read.get(data, "v", ""), "'v'", sol, args.input)
+    _, sol, v = _case(args, "v")
     try:
-        result = tilt_solve_fixed_point(sol, v, max_iter=args.max_iter)
+        return tilt_solve_fixed_point(sol, v, max_iter=args.max_iter).to_json(), True
     except NoConvergence as exc:
-        _emit({"error": str(exc)}, args.output)
-        return 1
-    _emit(result.to_json(), args.output)
-    return 0
+        return {"error": str(exc)}, False
 
 
-def _cmd_solve_st(args) -> int:
+def _cmd_solve_st(args):
     from .roots import st_roots
     roots = st_roots(args.n_roots)
-    _emit([r.to_json() for r in roots], args.output)
     # Rounding a root w to doubles moves it by about eps |w|, and there the
     # derivative e^w - 1 is w: relative to |1 + w| = |e^w|, the residual of
     # an exact root is about eps |w|.
-    ok = all(r.residual <= 1e-15 * abs(complex(r.x, r.y)) * abs(complex(1.0 + r.x, r.y))
-             for r in roots)
-    return 0 if ok else 1
+    return [r.to_json() for r in roots], all(
+        r.residual <= 1e-15 * abs(complex(r.x, r.y)) * abs(complex(1.0 + r.x, r.y))
+        for r in roots)
 
 
-def _cmd_xi(args) -> int:
+def _cmd_xi(args):
     from .roots import xi_root
     xi = xi_root()
     residual = abs(math.exp(-xi) - (xi - 1.0))
-    _emit({"xi": xi, "residual": residual}, args.output)
-    return 0 if residual < 1e-13 else 1
+    return {"xi": xi, "residual": residual}, residual < 1e-13
 
 
-def _cmd_wj(args) -> int:
+def _cmd_wj(args):
     import numpy as np
     from .special import WjSolutionOracle, wj_extract
-    data = _load_json(args.input)
-    sol = _load_solution(data, args.input)
+    data, sol = _case(args)
     samples = (_read.get(data, "lambda_samples", "", _read.array)
                or _read.fail("'lambda_samples'", "a non-empty list", []))
     lams = [_load_point(s, f"'lambda_samples'[{i}]", sol, args.input)
@@ -198,22 +187,18 @@ def _cmd_wj(args) -> int:
     with np.errstate(all="ignore"):   # as in solve-tilt: a product that overflows is inf
         triple = wj_extract(sol, lams, tol=args.tol)
         oracle = WjSolutionOracle(triple, tol=max(args.tol, 1e-9))
-        worst = 0.0
-        for lam in oracle.covered_values():
-            x = triple.section(lam)
-            worst = max(worst, (sol.eval(x) - oracle.eval(x)).norm())
+        worst = max(0.0, *((sol.eval(x) - oracle.eval(x)).norm() for _, x in oracle.covered))
         covered_residual = oracle.gs_residual_on_covered(seed=args.seed)
-    out = {"verified": True,
-           "kernel_dim": len(triple.kernel_basis),
-           "covered_values": len(oracle.covered_values()),
-           "match_residual": worst,
-           "gs_residual_covered": covered_residual}
-    _emit(out, args.output)
-    ok = worst <= max(args.tol, 1e-10) and covered_residual <= max(args.tol, 1e-10)
-    return 0 if ok else 1
+    gate = max(args.tol, 1e-10)
+    return ({"verified": True,
+             "kernel_dim": len(triple.kernel_basis),
+             "covered_values": len(oracle.covered),
+             "match_residual": worst,
+             "gs_residual_covered": covered_residual},
+            worst <= gate and covered_residual <= gate)
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     from .solutions import verify_gs
     data = _load_json(args.input)
     params = _read.get(data, "params", "", _read.obj)
@@ -225,8 +210,7 @@ def _cmd_report(args) -> int:
                       box_radius=_read.get(params, "box_radius", "'params'", _read.real, 0))
     results = _strict(fresh.to_json())
     match = json.dumps(results, sort_keys=True) == json.dumps(recorded, sort_keys=True)
-    _emit({"match": match, "results": results}, args.output)
-    return 0 if match else 1
+    return {"match": match, "results": results}, match
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, passed = args.func(args)
     except (_InputError, PopaAlgebraError) as exc:
         kind = "" if isinstance(exc, _InputError) else f"{type(exc).__name__}: "
         print(f"input error: {kind}{exc}", file=sys.stderr)
         return 2
+    _emit(report, args.output)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

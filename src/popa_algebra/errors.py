@@ -9,10 +9,6 @@ class DimensionMismatch(PopaAlgebraError):
     """Operands live in different algebras or have incompatible sizes."""
 
 
-class NotInvertible(PopaAlgebraError):
-    """An element required to be invertible has a spectral point at 0."""
-
-
 class LogBranchViolation(PopaAlgebraError):
     """The principal logarithm is undefined: spectrum meets (-inf, 0]."""
 

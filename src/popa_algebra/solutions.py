@@ -90,9 +90,6 @@ class PartitionSpec(_Frozen):
             ids[list(p)] = k
         return ids
 
-    def sigma_matrix(self) -> np.ndarray:
-        return _part_matrix(self.part_ids(), self.rho)
-
     def to_json(self) -> dict:
         return {"parts": [[i + 1 for i in p] for p in self.parts],
                 "rho": list(map(float, self.rho))}

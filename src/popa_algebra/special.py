@@ -4,18 +4,17 @@ solutions.  The transcendental roots of e^w = 1 + w live in ``roots``.
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Callable, List, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, Element, _Frozen
+from .algebra import Element
 from .errors import InvalidTriple, NotInRange
 from .solutions import GsSolution
 from .structure import RANK_REL_THRESHOLD, _svd_rank, null_space_basis
 
 
-class WjTriple(_Frozen):
+class WjTriple(NamedTuple):
     """Kernel subspace sample, invertible-value samples, and a section map.
 
     ``kernel_basis`` spans the kernel at desk scale; ``lambda_samples`` are
@@ -23,35 +22,9 @@ class WjTriple(_Frozen):
     preimages (well-defined modulo the kernel).
     """
 
-    def __init__(self, kernel_basis: tuple, lambda_samples: tuple,
-                 section: Callable[[Element], Element]):
-        object.__setattr__(self, "kernel_basis", kernel_basis)
-        object.__setattr__(self, "lambda_samples", lambda_samples)
-        object.__setattr__(self, "section", section)
-
-    @property
-    def algebra(self) -> AlgebraDescriptor:
-        return self.lambda_samples[0].algebra
-
-    @cached_property
-    def kernel_matrix(self) -> np.ndarray:
-        """Orthonormal rows spanning the kernel subspace, computed once."""
-        if not self.kernel_basis:
-            k = np.zeros((0, self.algebra.dim))
-        else:
-            rank, vt = _svd_rank(np.array([e.coords for e in self.kernel_basis]),
-                                 compute_uv=True)
-            k = vt[:rank]
-        k.flags.writeable = False
-        return k
-
-    def complement_part(self, x: Element) -> np.ndarray:
-        """Coordinates of x projected off the kernel subspace."""
-        k = self.kernel_matrix
-        c = x.coords
-        if k.shape[0]:
-            c = c - k.T @ (k @ c)
-        return c
+    kernel_basis: tuple
+    lambda_samples: tuple
+    section: Callable[[Element], Element]
 
 
 class WjSolutionOracle:
@@ -61,17 +34,28 @@ class WjSolutionOracle:
     every ordered pair of samples, raising InvalidTriple at the first that
     fails: (i) the samples map the kernel into itself, (ii) the section
     lands in the kernel exactly at the unit, (iii) the section is a crossed
-    homomorphism modulo the kernel.  The oracle evaluates to the matching
-    target value on points congruent to a section image modulo the kernel,
+    homomorphism modulo the kernel.  ``covered`` lists the (value, section)
+    pairs of the samples and their products, in that order, skipping each
+    value whose section the lookup already matches.  The oracle evaluates to
+    the first covered value whose section a point matches modulo the kernel,
     and to zero elsewhere.
     """
 
     def __init__(self, triple: WjTriple, tol: float = 1e-9):
         self.triple, self.tol = triple, tol
-        lams, unit = triple.lambda_samples, triple.algebra.unit()
+        lams = triple.lambda_samples
+        alg = self._algebra = lams[0].algebra
+        unit = alg.unit()
+        self._kernel = np.zeros((0, alg.dim))   # orthonormal rows spanning the kernel
+        if triple.kernel_basis:
+            rank, vt = _svd_rank(np.array([e.coords for e in triple.kernel_basis]),
+                                 compute_uv=True)
+            self._kernel = vt[:rank]
+        self._reps = np.zeros((alg.dim, 0))
+        covered = []
 
         def off_kernel(x: Element) -> float:
-            return float(np.max(np.abs(triple.complement_part(x))))
+            return float(np.max(np.abs(self._off_kernel(x.coords))))
 
         def require(ok: bool):
             if not ok:
@@ -81,44 +65,45 @@ class WjSolutionOracle:
             is_unit = (lam - unit).norm() <= tol
             w = triple.section(lam)
             require(is_unit == (off_kernel(w) <= tol * max(1.0, w.norm())))
+            if self._hits(w.coords[:, None])[0] < 0:
+                covered.append((lam, w))
+                self._reps = np.column_stack([self._reps, self._off_kernel(w.coords)])
             return w
 
         for lam in lams:
             require(lam.is_invertible())
             for lv in (lam * v for v in triple.kernel_basis):
-                require(not off_kernel(lv) > tol * max(1.0, lv.norm()))
+                require(off_kernel(lv) <= tol * max(1.0, lv.norm()))
         sampled = list(zip(lams, map(section, lams)))
         self._sections = np.array([w.coords for _, w in sampled]).T
-        values = list(sampled)
         for l1, w1 in sampled:
             for l2, w2 in sampled:
-                lam = l1 * l2
-                w = section(lam)
-                require(not off_kernel(w - w1 - l1 * w2) > tol * max(1.0, w.norm()))
-                values.append((lam, w))
-        table = []
-        for lam, w in values:
-            if not any((lam - known).norm() <= tol for known, _ in table):
-                table.append((lam, triple.complement_part(w)))
-        self._covered = [lam for lam, _ in table]
-        self._reps = np.array([rep for _, rep in table]).T
-        self._values = np.array([lam.coords for lam in self._covered]).T
-
-    def covered_values(self) -> List[Element]:
-        return list(self._covered)
+                w = section(l1 * l2)
+                require(off_kernel(w - w1 - l1 * w2) <= tol * max(1.0, w.norm()))
+        self.covered = tuple(covered)
+        self._values = np.array([lam.coords for lam, _ in covered]).T
 
     def eval(self, x: Element) -> Element:
         return x.algebra.element(self._lookup(x.coords[:, None])[:, 0])
 
-    def _lookup(self, points: np.ndarray) -> np.ndarray:
-        """Oracle values at a (d, m) block of points: for each column, the first
-        covered value whose section matches it modulo the kernel, else zero."""
-        k = self.triple.kernel_matrix
-        cx = points - k.T @ (k @ points)
+    def _off_kernel(self, c: np.ndarray) -> np.ndarray:
+        """A (d,) point or a (d, m) block of points projected off the kernel."""
+        k = self._kernel
+        return c - k.T @ (k @ c) if k.shape[0] else c
+
+    def _hits(self, points: np.ndarray) -> np.ndarray:
+        """For each column of a (d, m) block of points, the index of the first
+        covered value whose section matches it modulo the kernel, else -1."""
+        cx = self._off_kernel(points)
         bound = self.tol * np.fmax(1.0, np.abs(cx).max(axis=0))
         hit = np.full(cx.shape[1], -1)
         for t in reversed(range(self._reps.shape[1])):   # the first match is written last
             hit[np.abs(cx - self._reps[:, t, None]).max(axis=0) <= bound] = t
+        return hit
+
+    def _lookup(self, points: np.ndarray) -> np.ndarray:
+        """Oracle values at a (d, m) block of points."""
+        hit = self._hits(points)
         return np.where(hit >= 0, self._values[:, hit], 0.0)
 
     def gs_residual_on_covered(self, seed: int = 0) -> float:
@@ -129,7 +114,7 @@ class WjSolutionOracle:
         a uniform kernel vector.
         """
         rng = np.random.default_rng(seed)
-        k = self.triple.kernel_matrix
+        k = self._kernel
         n, m = self._sections.shape[1], k.shape[0]
         draws = [(rng.integers(n), rng.integers(n), rng.uniform(-0.5, 0.5, m),
                   rng.uniform(-0.5, 0.5, m)) for _ in range(200)]
@@ -137,7 +122,7 @@ class WjSolutionOracle:
         x1 = self._sections[:, i] + k.T @ u1.T
         x2 = self._sections[:, j] + k.T @ u2.T
         s1, s2 = self._lookup(x1), self._lookup(x2)
-        mul, norm = self.triple.algebra.mul, self.triple.algebra.norm
+        mul, norm = self._algebra.mul, self._algebra.norm
         residuals = self._lookup(x1 + mul(s1, x2)) - mul(s1, s2)
         return max(0.0, *map(norm, residuals.T))
 
@@ -159,11 +144,10 @@ def wj_extract(sol: GsSolution, lambda_samples: Sequence[Element],
     def section(lam: Element) -> Element:
         target = (lam - unit).coords
         w = pinv @ target
-        if float(np.max(np.abs(M @ w - target))) > tol * max(1.0, lam.norm()):
+        if not float(np.max(np.abs(M @ w - target))) <= tol * max(1.0, lam.norm()):
             raise NotInRange("value has no preimage under the solution map")
         return alg.element(w)
 
     for lam in lambda_samples:
         section(lam)  # fail fast on unreachable samples
     return WjTriple(tuple(basis), tuple(lambda_samples), section)
-

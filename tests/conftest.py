@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from popa_algebra import PartitionSpec, SigmaMatrix
+from popa_algebra import PartitionSolution, PartitionSpec, SigmaMatrix
 
 
 def random_partition_spec(rng: np.random.Generator, d: int) -> PartitionSpec:
@@ -23,7 +23,7 @@ def perturbed_sigma(rng: np.random.Generator, spec: PartitionSpec,
     Bumps one off-diagonal entry so the coupled rows disagree; retries a
     few entries to guarantee the entry stays clearly nonzero.
     """
-    m = np.array(spec.sigma_matrix())
+    m = np.array(PartitionSolution(spec).gamma_matrix())
     d = m.shape[0]
     for _ in range(64):
         i, j = rng.integers(0, d, size=2)

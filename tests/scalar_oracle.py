@@ -11,8 +11,8 @@ the original, ``math.expm1`` raises OverflowError where e^z overflows.
 import cmath
 import math
 
+from paper_checks import NotInvertible
 from popa_algebra.algebra import SERIES_THRESHOLD, UNITY_EPS
-from popa_algebra.errors import NotInvertible
 from popa_algebra.tilting import KERNEL_EPS
 
 SERIES_TERMS = 8

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as hst
 
 import scalar_oracle as oracle
 from popa_algebra import (AlgebraDescriptor, AlgebraKind, ConstraintViolated,
-                          DimensionMismatch, Element, LogBranchViolation,
-                          NotInvertible, complex_plane, grid_interval, hadamard)
+                          DimensionMismatch, Element, complex_plane, grid_interval,
+                          hadamard)
 from popa_algebra.algebra import (_H_SERIES, _LOG1P_SERIES, _MU_SERIES, SERIES_THRESHOLD,
                                   _horner, exp_ratio_scalar, growth_scalar, h_scalar,
                                   log1p_over_scalar, mu_scalar)
@@ -54,35 +54,31 @@ def test_one_point_complex_product_has_the_block_products_bits():
 
 def test_invert():
     A = hadamard(2)
-    assert np.allclose(A.element([2, 4]).invert().coords, [0.5, 0.25])
-    with pytest.raises(NotInvertible):
-        A.element([0, 1]).invert()
+    assert np.allclose(A.element([2, 4]).apply_scalar(np.reciprocal).coords, [0.5, 0.25])
+    assert not A.element([0, 1]).is_invertible()
     C = complex_plane()
-    assert np.allclose(C.element([0, 2]).invert().coords, [0, -0.5])
+    assert np.allclose(C.element([0, 2]).apply_scalar(np.reciprocal).coords, [0, -0.5])
 
 
 def test_exp_log_inverse_pair():
     A = hadamard(2)
-    assert np.allclose(A.zero().exp().coords, A.unit().coords)
-    assert np.allclose(A.unit().log().coords, 0.0)
+    assert np.allclose(A.element([0.0, 0.0]).apply_scalar(np.exp).coords, A.unit().coords)
+    assert np.allclose(A.unit().apply_scalar(np.log).coords, 0.0)
     a = A.element([2, 3])
-    assert (a.log().exp() - a).norm() < 1e-12
+    assert (a.apply_scalar(np.log).apply_scalar(np.exp) - a).norm() < 1e-12
 
     C = complex_plane()
     z = C.element([1.0, 2.0])
-    assert (z.log().exp() - z).norm() < 1e-12
+    assert (z.apply_scalar(np.log).apply_scalar(np.exp) - z).norm() < 1e-12
 
 
 def test_log_branch_violations():
     A = hadamard(2)
-    with pytest.raises(LogBranchViolation):
-        A.element([-1, 2]).log()
-    with pytest.raises(LogBranchViolation):
-        A.element([0, 2]).log()
+    assert not A.element([-1, 2]).in_log_branch()
+    assert not A.element([0, 2]).in_log_branch()
     C = complex_plane()
-    with pytest.raises(LogBranchViolation):
-        C.element([-1, 0]).log()
-    C.element([-1, 0.1]).log()  # off the axis: fine
+    assert not C.element([-1, 0]).in_log_branch()
+    assert C.element([-1, 0.1]).in_log_branch()  # off the axis: fine
 
 
 def test_spectrum_and_norm():
@@ -100,7 +96,7 @@ def test_spectrum_and_norm():
 
 def test_mu_values():
     A1 = hadamard(1)
-    assert np.allclose(A1.zero().mu().coords, [1.0])
+    assert np.allclose(A1.element([0.0]).mu().coords, [1.0])
     assert abs(A1.element([1.0]).mu().coords[0] - (E - 1)) < 1e-15
     A = hadamard(2)
     assert np.allclose(A.element([1, 0]).mu().coords, [E - 1, 1.0])
@@ -134,11 +130,12 @@ def test_submultiplicativity_bulk():
 
 def test_exp_is_homomorphic_on_sums():
     rng = np.random.default_rng(7)
+    exp = lambda e: e.apply_scalar(np.exp)
     for alg in (hadamard(3), complex_plane()):
         for _ in range(100):
             a = alg.element(rng.uniform(-2, 2, alg.dim))
             b = alg.element(rng.uniform(-2, 2, alg.dim))
-            assert ((a + b).exp() - a.exp() * b.exp()).norm() < 1e-10
+            assert (exp(a + b) - exp(a) * exp(b)).norm() < 1e-10
 
 
 def test_double_inverse():
@@ -147,7 +144,7 @@ def test_double_inverse():
         for _ in range(100):
             coords = rng.uniform(0.2, 3.0, alg.dim) * rng.choice([-1, 1], alg.dim)
             a = alg.element(coords)
-            assert (a.invert().invert() - a).norm() < 1e-10
+            assert (a.apply_scalar(np.reciprocal).apply_scalar(np.reciprocal) - a).norm() < 1e-10
 
 
 def test_mu_identity_and_series_continuity():
@@ -156,7 +153,7 @@ def test_mu_identity_and_series_continuity():
     for _ in range(50):
         a = A.element(rng.uniform(0.1, 2.0, 3) * rng.choice([-1, 1], 3))
         lhs = a.mu() * a
-        rhs = a.exp() - A.unit()
+        rhs = a.apply_scalar(np.exp) - A.unit()
         assert (lhs - rhs).norm() < 1e-12 * max(1.0, rhs.norm())
     # both branches agree at the switch threshold
     for z in (SERIES_THRESHOLD, -SERIES_THRESHOLD, SERIES_THRESHOLD * (1 + 1e-9)):
@@ -338,8 +335,8 @@ def test_constructor_neither_aliases_nor_freezes_the_callers_array():
 def test_ring_operation_results_are_read_only():
     for alg in (hadamard(3), complex_plane(), grid_interval([0.0, 0.5, 1.0])):
         a, b = alg.element(np.linspace(0.5, 1.5, alg.dim)), alg.unit()
-        for out in (a + b, a - b, -a, a * b, 2.0 * a, a * 2.0, a.scale(3.0), a.exp(),
-                    a.log(), a.mu(), a.invert(), a.apply_scalar(lambda z: z ** 2)):
+        for out in (a + b, a - b, -a, a * b, 2.0 * a, a * 2.0, a.scale(3.0), a.mu(),
+                    a.apply_scalar(np.exp), a.apply_scalar(lambda z: z ** 2)):
             with pytest.raises(ValueError, match="read-only"):
                 out.coords[0] = 0.0
 

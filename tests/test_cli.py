@@ -519,7 +519,8 @@ def test_every_tilt_golden_file_is_replayed():
         "classify_golden_partition_d3", "tilt_golden_canonical_complex", "tilt_golden_canonical_overflow",
         "tilt_golden_grid_partition", "tilt_golden_one_exp", "tilt_golden_partition_d8",
         "wj_golden_canonical_complex", "wj_golden_canonical_near_duplicate",
-        "wj_golden_not_in_range", "wj_golden_partition_d3", "wj_golden_partition_d6"]
+        "wj_golden_canonical_shared_lookup", "wj_golden_not_in_range", "wj_golden_partition_d3",
+        "wj_golden_partition_d6", "wj_golden_partition_product_overflow"]
 
 
 def test_solve_tilt_stops_on_the_backward_error(tmp_path, capsys):
@@ -574,10 +575,11 @@ OVERFLOWS = {
         "solution": {"variant": "Canonical", "rho": [1.0], "algebra": {"kind": "HadamardRd",
                                                                        "dim": 1}},
         "lambda_samples": [[1e200], [2.0]]}, 2),
-    # the same overflow on a partition solution; its residuals are inf
+    # the same overflow on a partition solution: the inf sample's section
+    # has a NaN range error, which counts as no preimage
     "wj-partition-product-overflow": ("wj", {
         "solution": dict(PARTITION, rho=[1.0, 1.0]),
-        "lambda_samples": [[1e200, 1e200], [2.0, 2.0]]}, 1),
+        "lambda_samples": [[1e200, 1e200], [2.0, 2.0]]}, 2),
 }
 
 #: the kernel dimension of each classify case above: 2 minus the matrix's rank

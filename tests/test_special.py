@@ -7,7 +7,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from conftest import random_partition_spec
 from popa_algebra import (CanonicalSolution, IdempotentSolution, InvalidTriple,
                           NotInRange, NotOrthogonalIdempotents,
                           PartitionSolution, PartitionSpec, WjSolutionOracle,
@@ -173,7 +175,7 @@ def _shift(lam):
     ((), [[0.0]], _shift),                            # a non-invertible sample
     (_KERNEL_DIAGONAL, [[2.0, 3.0]], _shift),         # the sample moves the kernel
     ((), [[1.0]], lambda lam: lam),                   # off the kernel at the unit
-    ((), [[2.0]], lambda lam: A1.zero() if lam.coords[0] == 4.0 else _shift(lam)),
+    ((), [[2.0]], lambda lam: A1.element([0.0]) if lam.coords[0] == 4.0 else _shift(lam)),
 ], ids=["not-invertible", "moves-kernel", "unit-off-kernel", "product-in-kernel"])
 def test_wj_verify_rejects_each_condition(kernel, samples, section):
     alg = A2 if kernel else A1
@@ -185,18 +187,20 @@ def test_wj_verify_rejects_each_condition(kernel, samples, section):
 def test_kernel_matrix_spans_a_repeated_basis():
     # the kernel is span{e1, e3}; an unpivoted QR cut at rank 2 spanned {e1, e2}
     a3 = hadamard(3)
-    e1, e3 = a3.element([1.0, 0.0, 0.0]), a3.element([0.0, 0.0, 1.0])
-    triple = WjTriple((e1, e1, e3), (a3.unit(),), _shift)
-    assert triple.kernel_matrix.shape == (2, 3)
-    assert np.all(triple.complement_part(e3) == 0.0)
-    assert np.all(triple.complement_part(e1) == 0.0)
+    e1, e2, e3 = (a3.element(row) for row in np.eye(3))
+    oracle = WjSolutionOracle(WjTriple((e1, e1, e3), (a3.unit(),), _shift))
+    assert oracle._kernel.shape == (2, 3)
+    # the unit's section is 0, so the kernel evaluates to the unit and e2 to zero
+    for x in (e1, e3, 2.0 * e1 - e3):
+        assert oracle.eval(x) == a3.unit()
+    assert oracle.eval(e2).norm() == 0.0
 
 
 def test_wj_oracle_reconstructs_affine_map():
     triple = _scalar_triple(lambda lam: A1.element([lam.coords[0] - 1.0]))
     oracle = WjSolutionOracle(triple)
-    for lam in oracle.covered_values():
-        x = triple.section(lam)
+    for lam, x in oracle.covered:
+        assert x == triple.section(lam)
         assert abs(oracle.eval(x).coords[0] - (1.0 + x.coords[0])) < 1e-12
     assert oracle.eval(A1.element([10.0])).norm() == 0.0  # uncovered
     assert oracle.gs_residual_on_covered(seed=3) < 1e-10
@@ -228,9 +232,8 @@ def test_wj_roundtrip_matches_solution_mod_kernel():
     lams = [sol.eval(A2.element(rng.uniform(-0.3, 0.3, 2))) for _ in range(4)]
     triple = wj_extract(sol, lams)
     oracle = WjSolutionOracle(triple)
-    k = triple.kernel_matrix
-    for lam in oracle.covered_values():
-        base = triple.section(lam)
+    k = oracle._kernel
+    for _, base in oracle.covered:
         for _ in range(5):
             shift = A2.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
             x = base + shift
@@ -262,28 +265,48 @@ def test_wj_oracle_computes_each_section_once():
 
 
 def test_wj_oracle_takes_the_first_covered_value_that_matches():
-    # 2.0000000005 is within tol of 2, so only its products are added; the
-    # sections of 4.000000001 and 4.000000002 are within tol * 3 of 4's
+    # the section of 2.0000000005 is within tol of 2's, and the sections of
+    # 4.000000001 and 4.000000002 are within tol * 3 of 4's: the lookup
+    # already matches them, so they join no table entry of their own
     sol = CanonicalSolution(A1.element([1.0]))
     oracle = WjSolutionOracle(wj_extract(sol, [A1.element([2.0]), A1.element([2.0000000005])]))
-    covered = [lam.coords[0] for lam in oracle.covered_values()]
-    assert covered == [2.0, 4.0, 2.0 * 2.0000000005, 2.0000000005 ** 2]
-    for lam in covered[1:]:
+    assert [lam.coords[0] for lam, _ in oracle.covered] == [2.0, 4.0]
+    for lam in (4.0, 2.0 * 2.0000000005, 2.0000000005 ** 2):
         assert oracle.eval(A1.element([lam - 1.0])).coords.tolist() == [4.0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2 ** 32 - 1), canonical=hst.booleans())
+def test_every_covered_section_looks_up_its_own_value(seed, canonical):
+    # exact solutions, with one near-duplicate of each sample within tol / 2,
+    # constant on each part so that it stays in the solution's range
+    rng = np.random.default_rng(seed)
+    d, tol = int(rng.integers(1, 7)), 1e-9
+    spec = random_partition_spec(rng, d)
+    if canonical:
+        sol, ids = CanonicalSolution(hadamard(d).element(spec.rho)), np.arange(d)
+    else:
+        sol, ids = PartitionSolution(spec), spec.part_ids()
+    lams = [sol.eval(sol.algebra.element(rng.uniform(-0.3, 0.3, d)))
+            for _ in range(int(rng.integers(1, 4)))]
+    lams += [lam + sol.algebra.element(rng.uniform(-tol / 2, tol / 2, d)[ids]) for lam in lams]
+    oracle = WjSolutionOracle(wj_extract(sol, lams, tol), tol)
+    for lam, w in oracle.covered:
+        assert oracle.eval(w) == lam
 
 
 def _covered_residual_per_pair(oracle, seed):
     """The per-pair loop that the oracle's three-block residual replaced."""
     rng = np.random.default_rng(seed)
-    triple = oracle.triple
-    k = triple.kernel_matrix
+    triple, k = oracle.triple, oracle._kernel
+    alg = triple.lambda_samples[0].algebra
     sections = [triple.section(lam) for lam in triple.lambda_samples]
     worst = 0.0
     for _ in range(200):
         i = int(rng.integers(len(sections)))
         j = int(rng.integers(len(sections)))
-        x1 = sections[i] + triple.algebra.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
-        x2 = sections[j] + triple.algebra.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
+        x1 = sections[i] + alg.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
+        x2 = sections[j] + alg.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
         s1, s2 = oracle.eval(x1), oracle.eval(x2)
         worst = max(worst, (oracle.eval(x1 + s1 * x2) - s1 * s2).norm())
     return worst
@@ -305,7 +328,7 @@ def test_covered_residual_matches_the_per_pair_loop(solution, samples):
         assert oracle.gs_residual_on_covered(seed) == _covered_residual_per_pair(oracle, seed)
 
 
-def test_one_wj_request_computes_24_sections(tmp_path, monkeypatch, capsys):
+def test_one_wj_request_computes_15_sections(tmp_path, monkeypatch, capsys):
     # every section call of wj_extract's triple makes one product with the
     # pseudo-inverse, so counting those products counts the section calls
     calls = []
@@ -326,8 +349,9 @@ def test_one_wj_request_computes_24_sections(tmp_path, monkeypatch, capsys):
     assert main(["wj", "--input", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["kernel_dim"], report["covered_values"]) == (4, 9)
-    # 3 in wj_extract, 3 + 3 * 3 in the oracle, one per covered value in the match loop
-    assert len(calls) == 3 + 12 + 9
+    # 3 in wj_extract and 3 + 3 * 3 in the oracle; the match loop reuses the
+    # oracle's covered sections
+    assert len(calls) == 3 + 12
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +409,7 @@ def _idempotent_nu_loop(algebra, idempotents, sigma):
     nu = np.zeros((d, d))
     for j in range(d):
         basis = algebra.element(np.eye(d)[j])
-        acc = algebra.zero()
+        acc = algebra.element(np.zeros(d))
         for e in idempotents:
             acc = acc + float(sigma @ (e * basis).coords) * e
         nu[:, j] = acc.coords

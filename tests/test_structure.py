@@ -82,7 +82,7 @@ def test_kernel_subspace_dimensions():
 def test_kernel_basis_has_no_writable_alias():
     rng = np.random.default_rng(5)
     spec = random_partition_spec(rng, 12)
-    basis = analyse_sigma(SigmaMatrix(spec.sigma_matrix())).kernel_basis
+    basis = analyse_sigma(SigmaMatrix(PartitionSolution(spec).gamma_matrix())).kernel_basis
     assert basis
     for e in basis:
         assert not e.coords.flags.writeable
@@ -126,7 +126,7 @@ def test_kernel_vectors_fix_the_unit_image():
     rng = np.random.default_rng(21)
     for _ in range(10):
         spec = random_partition_spec(rng, int(rng.integers(2, 7)))
-        m = SigmaMatrix(spec.sigma_matrix())
+        m = SigmaMatrix(PartitionSolution(spec).gamma_matrix())
         sol = PartitionSolution(spec)
         for v in analyse_sigma(m).kernel_basis:
             for t in (-1.0, -0.5, 0.5, 1.0):
@@ -301,10 +301,10 @@ def test_roundtrip_idempotence():
     rng = np.random.default_rng(17)
     for _ in range(25):
         spec = random_partition_spec(rng, int(rng.integers(1, 7)))
-        m = SigmaMatrix(spec.sigma_matrix())
+        m = SigmaMatrix(PartitionSolution(spec).gamma_matrix())
         assert analyse_sigma(m).valid
         rec = analyse_sigma(m).partition
-        m2 = SigmaMatrix(rec.sigma_matrix())
+        m2 = SigmaMatrix(PartitionSolution(rec).gamma_matrix())
         assert np.allclose(m.entries, m2.entries)
         rec2 = analyse_sigma(m2).partition
         assert rec2.parts == rec.parts
@@ -418,7 +418,7 @@ def _sigma_case(seed, d, kind, tol):
     if kind == "zero-generators":
         # a part's zero generators couple only with its nonzero ones
         spec = PartitionSpec(spec.parts, np.where(rng.random(d) < 0.4, 0.0, spec.rho))
-    a = spec.sigma_matrix()
+    a = PartitionSolution(spec).gamma_matrix()
     if kind == "jitter":
         # row gaps and stray entries within a small factor of the tolerance
         scale = tol if tol > 0 else 1e-12
