@@ -42,7 +42,7 @@ class WjSolutionOracle:
     """
 
     def __init__(self, triple: WjTriple, tol: float = 1e-9):
-        self.triple, self.tol = triple, tol
+        self.tol = tol
         lams = triple.lambda_samples
         alg = self._algebra = lams[0].algebra
         unit = alg.unit()
@@ -75,7 +75,7 @@ class WjSolutionOracle:
             for lv in (lam * v for v in triple.kernel_basis):
                 require(off_kernel(lv) <= tol * max(1.0, lv.norm()))
         sampled = list(zip(lams, map(section, lams)))
-        self._sections = np.array([w.coords for _, w in sampled]).T
+        self._samples_covered = len(covered)   # the samples' values lead the table
         for l1, w1 in sampled:
             for l2, w2 in sampled:
                 w = section(l1 * l2)
@@ -106,25 +106,24 @@ class WjSolutionOracle:
         hit = self._hits(points)
         return np.where(hit >= 0, self._values[:, hit], 0.0)
 
-    def gs_residual_on_covered(self, seed: int = 0) -> float:
-        """Composition-law residual over 200 sampled pairs of covered points.
-
-        Pairs are drawn from the generating samples so that their products
-        stay inside the covered table; each point is a sample's section plus
-        a uniform kernel vector.
+    def residuals(self, sol: GsSolution, seed: int = 0) -> tuple:
+        """``(match, covered)``: the rebuilt map's largest errors at the
+        covered sections, each moved by a uniform kernel vector drawn from
+        ``seed``.  ``match`` is ``|S(p) - O(p)| / max(1, |S(p)|)`` for the
+        solution ``S`` and this oracle ``O``, and ``covered`` is
+        ``|O(p + O(p) q) - O(p) O(q)| / max(1, |O(p) O(q)|)`` over every
+        ordered pair of the points of covered samples.  A NaN stays NaN.
         """
-        rng = np.random.default_rng(seed)
-        k = self._kernel
-        n, m = self._sections.shape[1], k.shape[0]
-        draws = [(rng.integers(n), rng.integers(n), rng.uniform(-0.5, 0.5, m),
-                  rng.uniform(-0.5, 0.5, m)) for _ in range(200)]
-        i, j, u1, u2 = map(np.array, zip(*draws))
-        x1 = self._sections[:, i] + k.T @ u1.T
-        x2 = self._sections[:, j] + k.T @ u2.T
-        s1, s2 = self._lookup(x1), self._lookup(x2)
+        k, n = self._kernel, self._samples_covered
+        p = np.array([w.coords for _, w in self.covered]).T
+        p = p + k.T @ np.random.default_rng(seed).uniform(-0.5, 0.5, (k.shape[0], p.shape[1]))
+        o, s = self._lookup(p), sol.eval_block(p)[0]
+        i, j = np.divmod(np.arange(n * n), n)
         mul, norm = self._algebra.mul, self._algebra.norm
-        residuals = self._lookup(x1 + mul(s1, x2)) - mul(s1, s2)
-        return max(0.0, *map(norm, residuals.T))
+        prod = mul(o[:, i], o[:, j])
+        errors = ((s - o, s), (self._lookup(p[:, i] + mul(o[:, i], p[:, j])) - prod, prod))
+        return tuple(float(np.max([norm(e) / max(1.0, norm(v)) for e, v in zip(err.T, val.T)]))
+                     for err, val in errors)
 
 
 def wj_extract(sol: GsSolution, lambda_samples: Sequence[Element],

@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -345,6 +346,33 @@ def test_wj(tmp_path, capsys):
     assert code == 0
     assert rep["verified"] is True
     assert rep["match_residual"] < 1e-10
+    # "verified" is the verdict: at --tol 0 a lookup needs exact equality,
+    # and the section of this sample's square is its section times
+    # (1 + sample) only up to rounding, so the composition residual reads 1
+    path = _write(tmp_path, "wj.json",
+                  {"solution": {"variant": "Canonical", "rho": [0.5],
+                                "algebra": {"kind": "HadamardRd", "dim": 1}},
+                   "lambda_samples": [[5.493176966300984]]})
+    code, out = _run(["wj", "--input", path, "--tol", "0"], capsys)
+    assert (code, json.loads(out)["verified"]) == (1, False)
+
+
+def test_wj_passes_exact_solutions_with_a_near_duplicate_sample(tmp_path, capsys):
+    # 1-d Canonical solutions with two samples in [1.5, 6] and a copy of the
+    # first moved by 0.5e-9 to 4e-9: the pairs are those of the covered
+    # samples, so the copy that shares the first's entry adds no pair whose
+    # residual is the samples' gap (59 of these 400 draws exited 1 with the
+    # 200 pairs drawn from all samples)
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        rho = float(rng.choice([1.0, 0.5, -2.0, 3.0]))
+        a, b = rng.uniform(1.5, 6.0, 2)
+        lams = [[a], [b], [a + rng.uniform(0.5e-9, 4e-9)]]
+        path = _write(tmp_path, "wj.json", {"solution": {"variant": "Canonical", "rho": [rho],
+                                                         "algebra": {"kind": "HadamardRd",
+                                                                     "dim": 1}},
+                                            "lambda_samples": lams})
+        assert _run(["wj", "--input", path], capsys)[0] == 0, lams
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
@@ -509,6 +537,8 @@ def test_tilt_verbs_replay_their_golden_output_byte_for_byte(path, tmp_path):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(args)
         assert (code, out.getvalue()) == (run["exit_code"], run["stdout"]), args
+        if run["verb"] == "wj" and run["stdout"]:
+            assert json.loads(run["stdout"])["verified"] == (code == 0), args
 
 
 def test_every_tilt_golden_file_is_replayed():
@@ -518,8 +548,10 @@ def test_every_tilt_golden_file_is_replayed():
         "classify_golden_one_exp", "classify_golden_partition_2d",
         "classify_golden_partition_d3", "tilt_golden_canonical_complex", "tilt_golden_canonical_overflow",
         "tilt_golden_grid_partition", "tilt_golden_one_exp", "tilt_golden_partition_d8",
-        "wj_golden_canonical_complex", "wj_golden_canonical_near_duplicate",
-        "wj_golden_canonical_shared_lookup", "wj_golden_not_in_range", "wj_golden_partition_d3",
+        "wj_golden_canonical_complex", "wj_golden_canonical_large_1e4",
+        "wj_golden_canonical_large_1e6", "wj_golden_canonical_near_duplicate",
+        "wj_golden_canonical_rho3_near_duplicate", "wj_golden_canonical_shared_lookup",
+        "wj_golden_not_in_range", "wj_golden_partition_d3",
         "wj_golden_partition_d6", "wj_golden_partition_product_overflow"]
 
 

@@ -203,7 +203,7 @@ def test_wj_oracle_reconstructs_affine_map():
         assert x == triple.section(lam)
         assert abs(oracle.eval(x).coords[0] - (1.0 + x.coords[0])) < 1e-12
     assert oracle.eval(A1.element([10.0])).norm() == 0.0  # uncovered
-    assert oracle.gs_residual_on_covered(seed=3) < 1e-10
+    assert max(oracle.residuals(CanonicalSolution(A1.element([1.0])), seed=3)) < 1e-10
 
 
 def test_wj_extract_canonical():
@@ -260,8 +260,8 @@ def test_wj_oracle_computes_each_section_once():
     oracle = WjSolutionOracle(WjTriple(base.kernel_basis, base.lambda_samples, section))
     n = len(_D6_SAMPLES)
     assert len(calls) == n + n * n   # each sample, then each ordered pair's product
-    oracle.gs_residual_on_covered(seed=1)
-    assert len(calls) == n + n * n   # the residual reuses the samples' sections
+    oracle.residuals(sol, seed=1)
+    assert len(calls) == n + n * n   # the residuals reuse the covered sections
 
 
 def test_wj_oracle_takes_the_first_covered_value_that_matches():
@@ -295,21 +295,23 @@ def test_every_covered_section_looks_up_its_own_value(seed, canonical):
         assert oracle.eval(w) == lam
 
 
-def _covered_residual_per_pair(oracle, seed):
-    """The per-pair loop that the oracle's three-block residual replaced."""
-    rng = np.random.default_rng(seed)
-    triple, k = oracle.triple, oracle._kernel
-    alg = triple.lambda_samples[0].algebra
-    sections = [triple.section(lam) for lam in triple.lambda_samples]
-    worst = 0.0
-    for _ in range(200):
-        i = int(rng.integers(len(sections)))
-        j = int(rng.integers(len(sections)))
-        x1 = sections[i] + alg.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
-        x2 = sections[j] + alg.element(k.T @ rng.uniform(-0.5, 0.5, k.shape[0]))
-        s1, s2 = oracle.eval(x1), oracle.eval(x2)
-        worst = max(worst, (oracle.eval(x1 + s1 * x2) - s1 * s2).norm())
-    return worst
+def _residuals_per_pair(oracle, sol, lams, seed):
+    """The oracle's two residuals, one point and one pair at a time."""
+    k = oracle._kernel
+    offsets = np.random.default_rng(seed).uniform(-0.5, 0.5, (k.shape[0], len(oracle.covered)))
+    points = [w + sol.algebra.element(k.T @ u) for (_, w), u in zip(oracle.covered, offsets.T)]
+    # the covered samples: the entries whose value is a sample's
+    samples = [p for (lam, _), p in zip(oracle.covered, points) if any(lam == s for s in lams)]
+
+    def scaled(error, value):
+        return error.norm() / max(1.0, value.norm())
+
+    def composition(p, q):
+        s1, s2 = oracle.eval(p), oracle.eval(q)
+        return scaled(oracle.eval(p + s1 * q) - s1 * s2, s1 * s2)
+
+    return (max(scaled(sol.eval(p) - oracle.eval(p), sol.eval(p)) for p in points),
+            max(composition(p, q) for p in samples for q in samples))
 
 
 @pytest.mark.parametrize("solution, samples", [
@@ -320,12 +322,37 @@ def _covered_residual_per_pair(oracle, seed):
     ({"variant": "Canonical", "rho": [0.5, 0.7], "algebra": {"kind": "ComplexAsR2", "dim": 2}},
      [[1.2, 0.3], [0.8, -0.5], [1.1, 0.1]]),
     (_D6_SOLUTION, _D6_SAMPLES),
-], ids=["near-duplicate", "partition-d3", "complex", "partition-d6"])
+    ({"variant": "Canonical", "rho": [3.0], "algebra": {"kind": "HadamardRd", "dim": 1}},
+     [[2.5656472796824485], [5.105735093428786], [2.5656472822200156]]),   # no entry of its own
+], ids=["near-duplicate", "partition-d3", "complex", "partition-d6", "duplicate-sample"])
 def test_covered_residual_matches_the_per_pair_loop(solution, samples):
     sol = solution_from_json(solution)
-    oracle = WjSolutionOracle(wj_extract(sol, [sol.algebra.element(c) for c in samples]))
+    lams = [sol.algebra.element(c) for c in samples]
+    oracle = WjSolutionOracle(wj_extract(sol, lams))
     for seed in range(4):
-        assert oracle.gs_residual_on_covered(seed) == _covered_residual_per_pair(oracle, seed)
+        (match, covered), (want_match, want_covered) = (
+            oracle.residuals(sol, seed), _residuals_per_pair(oracle, sol, lams, seed))
+        # sol.eval and the block evaluation may round S(p) apart by an ulp
+        assert covered == want_covered and abs(match - want_match) <= 2.0 ** -50
+
+
+def test_residuals_fail_an_oracle_that_skips_the_kernel_or_the_products():
+    # a lookup that compares whole points misses every point moved along the
+    # kernel and reads zero, and so does a table without the products; the
+    # composition residual alone reads 0 on the first, whose misses give
+    # O(p + 0 q) - 0 O(q) = 0
+    sol = solution_from_json(_D6_SOLUTION)
+    lams = [sol.algebra.element(c) for c in _D6_SAMPLES]
+    exact, skips_kernel, no_products = (WjSolutionOracle(wj_extract(sol, lams)) for _ in range(3))
+    skips_kernel._reps = np.array([w.coords for _, w in skips_kernel.covered]).T
+    skips_kernel._off_kernel = lambda c: c
+    n = no_products._samples_covered
+    no_products.covered = no_products.covered[:n]
+    no_products._reps, no_products._values = no_products._reps[:, :n], no_products._values[:, :n]
+    for seed in range(3):
+        assert max(exact.residuals(sol, seed)) <= exact.tol
+        assert skips_kernel.residuals(sol, seed)[0] == 1.0
+        assert no_products.residuals(sol, seed)[1] == 1.0
 
 
 def test_one_wj_request_computes_15_sections(tmp_path, monkeypatch, capsys):
@@ -349,7 +376,7 @@ def test_one_wj_request_computes_15_sections(tmp_path, monkeypatch, capsys):
     assert main(["wj", "--input", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["kernel_dim"], report["covered_values"]) == (4, 9)
-    # 3 in wj_extract and 3 + 3 * 3 in the oracle; the match loop reuses the
+    # 3 in wj_extract and 3 + 3 * 3 in the oracle; the residuals reuse the
     # oracle's covered sections
     assert len(calls) == 3 + 12
 
