@@ -13,7 +13,10 @@ solution evaluates a block itself (``GsSolution.eval_block``) and the
 algebra multiplies blocks (``AlgebraDescriptor.mul``), so the kernel
 holds no family formula.  Every array it writes is a view into one
 ``_Workspace``, allocated once per worker and reused by each of its
-blocks.  Deterministic for a given input.
+blocks: six blocks, three vectors and two masks, the most the kernel
+keeps live at once.  ``verify_gs`` draws each block's X and Y into two of
+those blocks, which the kernel reads before it first writes them.
+Deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -35,14 +38,18 @@ class _Workspace:
     Each buffer is flat, and a block of m pairs views its first d*m (or m)
     entries: every view is C-contiguous, as a fresh array of its shape
     would be, so a short last block hands BLAS the same operands too.
-    Coordinate buffers 0 and 1 hold the drawn X and Y, 2 to 7 the kernel's
-    blocks; vectors 0 to 4 are the kernel's, vector 5 its caller's.
+    The six coordinate buffers are the kernel's blocks; buffers 4 and 5,
+    viewed as (m, d) pairs, are also the draw slots of X and Y, which
+    ``residuals`` copies out before it writes either.  The three vectors
+    are the kernel's ``spec``, ``gs`` and ``goldie``; ``spec`` and
+    ``goldie`` double as the complex product's scratch, and ``spec`` is
+    free again once ``residuals`` has returned.
     """
 
     def __init__(self, d: int, rows: int):
         self._d = d
-        self._coords = np.empty((8, d * rows))
-        self._vectors = np.empty((6, rows))
+        self._coords = np.empty((6, d * rows))
+        self._vectors = np.empty((3, rows))
         self._masks = np.empty((2, rows), dtype=bool)
 
     def blocks(self, m: int, pairs: bool = False) -> list:
@@ -78,23 +85,27 @@ def residuals(sol, rho, X, Y, inv_tol, ws=None):
     of length ``rows``; the residuals are zero wherever ``valid`` is False
     (pair rejected for leaving the group domain).
 
-    Works on (d, rows) copies of X and Y, which are left as they are.  The
-    results, and every intermediate, are views into ``ws``, a
-    ``_Workspace`` for at least ``rows`` pairs (made afresh when omitted):
-    they hold until the workspace's next block.  Each block is overwritten
-    in place once it has been read for the last time, so six are enough.
+    Works on (d, rows) copies of X and Y.  The results, and every
+    intermediate, are views into ``ws``, a ``_Workspace`` for at least
+    ``rows`` pairs (made afresh when omitted): they hold until the
+    workspace's next block.  Each block is overwritten in place once it has
+    been read for the last time, so six are enough.  X and Y may be the
+    workspace's draw slots, ``ws.blocks(rows, pairs=True)[4:]``, which are
+    copied before they are first written; any other X and Y are left as
+    they are.
     """
     alg = sol.algebra
     cw = alg.componentwise
     m = X.shape[0]
     ws = _Workspace(alg.dim, m) if ws is None else ws
-    Xb, Yb, sx, sy, Zb, nx = ws.blocks(m)[2:]
-    spec, gs, goldie = ws.vectors(m)[:3]
-    scratch = ws.vectors(m)[3:5]
+    Xb, Yb, sx, sy, Zb, nx = ws.blocks(m)
+    spec, gs, goldie = ws.vectors(m)
     ok, dom = ws.masks(m)
 
     def mul(a, b, out):
-        return alg.mul(a, b, out=out, scratch=scratch)
+        # spec is read for the last time before the first product, and
+        # goldie is written after the last one
+        return alg.mul(a, b, out=out, scratch=(spec, goldie))
 
     unit = alg.unit().coords[:, None]
     rho = rho[:, None]

@@ -104,7 +104,7 @@ class AlgebraDescriptor(_Frozen):
 
         ``a`` broadcasts against ``b``, whose shape the product has;
         ``out`` may be ``a`` or ``b``.  The complex product keeps its two
-        temporaries in the rows of ``scratch``, a (2, rows) array, when given.
+        temporaries in ``scratch``, two length-rows arrays, when given.
         """
         if self.componentwise:
             return np.multiply(a, b, out=out)

@@ -535,8 +535,9 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
     depend on the worker count, and the earliest failing block's error is raised.
 
     Each worker draws and computes its blocks in one ``_kernels._Workspace``
-    and reduces each block as soon as it is computed, so a call holds a few
-    blocks per worker and a few numbers per block, whatever ``n_samples``.
+    (X and Y in the kernel's draw slots) and reduces each block as soon as
+    it is computed, so a call holds six blocks per worker and a few numbers
+    per block, whatever ``n_samples``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -566,11 +567,11 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
             for b in range(first, len(starts), n_workers):
                 lo = starts[b]
                 m = min(rows, n_samples - lo)
-                X, Y = ws.blocks(m, pairs=True)[:2]
+                X, Y = ws.blocks(m, pairs=True)[4:]
                 sample_box(alg, m, box_radius, draws(lo * alg.dim), out=X)
                 sample_box(alg, m, box_radius, draws((n_samples + lo) * alg.dim), out=Y)
                 gs, goldie, valid = _kernels.residuals(sol, rho, X, Y, GROUP_REJECT_EPS, ws)
-                best = ws.vectors(m)[5]
+                best = ws.vectors(m)[0]   # the kernel's spec, free once it returns
                 best.fill(-1.0)
                 np.copyto(best, gs, where=valid)
                 k = int(np.argmax(best))

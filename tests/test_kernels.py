@@ -122,3 +122,28 @@ def test_kernel_leaves_its_inputs_alone(sol, rows):
     _kernels.residuals(sol, rho_of(sol).coords, X, Y, GROUP_REJECT_EPS)
     assert X.tobytes() == x0
     assert Y.tobytes() == y0
+
+
+@pytest.mark.parametrize("sol", _zoo(), ids=lambda s: s.variant + "/" +
+                         getattr(s, "form", type("", (), {"value": ""})).value)
+def test_kernel_reads_pairs_from_its_draw_slots(sol):
+    # verify_gs draws X and Y into two of the kernel's own blocks; the
+    # kernel must copy them out before it writes there.  A full block, then
+    # a short last block through the same, now stale, workspace.
+    d = sol.algebra.dim
+    rows = _kernels.block_rows(d)
+    rho = rho_of(sol).coords
+    ws = _kernels._Workspace(d, rows)
+    rng = np.random.default_rng(5)
+    for m in (rows, rows // 3 + 1):
+        X = rng.uniform(-0.4, 0.4, size=(m, d))
+        Y = rng.uniform(-0.4, 0.4, size=(m, d))
+        want = [a.tobytes() for a in
+                _kernels.residuals(sol, rho, X.copy(), Y.copy(), GROUP_REJECT_EPS)]
+        slot_x, slot_y = ws.blocks(m, pairs=True)[4:]
+        np.copyto(slot_x, X)
+        np.copyto(slot_y, Y)
+        gs, goldie, valid = _kernels.residuals(sol, rho, slot_x, slot_y, GROUP_REJECT_EPS, ws)
+        assert [gs.tobytes(), goldie.tobytes(), valid.tobytes()] == want
+        if getattr(sol, "form", None) is DegenerateForm.PURE_POWER:
+            assert 0 < np.count_nonzero(valid) < m

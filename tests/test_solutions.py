@@ -466,8 +466,9 @@ def test_verify_gs_report_keeps_a_nan_from_a_later_block(workers, monkeypatch):
     real = _kernels.residuals
 
     def nan_in_third_block(sol, rho, Xb, Yb, inv_tol, ws=None):
+        first = place[Xb[0].tobytes()]   # before the kernel overwrites its draw slots
         gs, goldie, valid = real(sol, rho, Xb, Yb, inv_tol, ws)
-        if place[Xb[0].tobytes()] == 2 * rows:
+        if first == 2 * rows:
             gs[[7, 3]] = np.nan
             goldie[5] = np.nan
         return gs, goldie, valid
@@ -493,6 +494,30 @@ def test_verify_gs_memory_does_not_grow_with_the_samples():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sol", [
+    PartitionSolution(PartitionSpec(((0, 2, 4), (1, 3, 5)),
+                                    np.array([0.5, -0.3, 0.2, 0.4, -0.1, 0.3]))),
+    CanonicalSolution(complex_plane().element([0.5, 0.3])),
+], ids=["partition-d6", "canonical-complex"])
+def test_verify_gs_peaks_at_its_workspaces(sol, workers, monkeypatch):
+    # each worker's workspace holds what the kernel keeps live: six (d, rows)
+    # blocks, three float vectors and two bool masks
+    import tracemalloc
+    d = sol.algebra.dim
+    rows = _kernels.block_rows(d)
+    workspace = 8 * (6 * d * rows + 3 * rows) + 2 * rows
+    monkeypatch.setattr(solutions, "_cpu_count", lambda: workers)
+    verify_gs(sol, rows, seed=1, box_radius=0.4)   # the imports a first call makes
+    tracemalloc.start()
+    try:
+        verify_gs(sol, 10**6, seed=1, box_radius=0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= workers * workspace + 128 * 2**10, (peak, workspace)
 
 
 def test_verify_gs_peak_memory_is_the_same_at_2_and_200_blocks(monkeypatch):

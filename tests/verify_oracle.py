@@ -35,9 +35,11 @@ def recording_kernel(mp):
     real = _kernels.residuals
 
     def record(sol, rho, X, Y, inv_tol, ws=None):
+        # copies: verify_gs reuses its workspace, and so these arrays, block
+        # by block, and X and Y sit in the kernel's draw slots, which it overwrites
+        drawn = (np.array(X), np.array(Y))
         out = real(sol, rho, X, Y, inv_tol, ws)
-        # copies: verify_gs reuses its workspace, and so these arrays, block by block
-        calls.append(tuple(np.array(a) for a in (X, Y) + out))
+        calls.append(drawn + tuple(np.array(a) for a in out))
         return out
 
     mp.setattr(_kernels, "residuals", record)
