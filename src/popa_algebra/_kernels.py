@@ -12,10 +12,11 @@ d coordinates is then elementwise on length-``rows`` vectors.  The
 solution evaluates a block itself (``GsSolution.eval_block``) and the
 algebra multiplies blocks (``AlgebraDescriptor.mul``), so the kernel
 holds no family formula.  Every array it writes is a view into one
-``_Workspace``, allocated once per worker and reused by each of its
-blocks: six blocks, three vectors and two masks, the most the kernel
-keeps live at once.  ``verify_gs`` draws each block's X and Y into two of
-those blocks, which the kernel reads before it first writes them.
+``_Workspace``, which ``verify_gs`` allocates per worker in the calling
+thread and reuses for each of the worker's blocks: six blocks, three
+vectors and two masks, the most the kernel keeps live at once.
+``verify_gs`` draws each block's X and Y into two of those blocks, which
+the kernel reads before it first writes them.
 Deterministic for a given input.
 """
 

@@ -5,7 +5,9 @@ the complex numbers viewed as R^2, and a sampled-grid stand-in for C[0,1]
 (same ring operations as the Hadamard case, grid kept for reporting).
 
 All elements are immutable; every operation is a pure function, so values
-may be shared freely across threads.
+may be shared freely across threads.  Scalar maps act through
+``Element.apply_scalar``: the tilt's are ``mu_h_scalar``, ``log1p_over_scalar``
+and ``path_scale_scalar``, written once over arrays of spectral points.
 """
 
 from __future__ import annotations
@@ -246,33 +248,26 @@ class Element(_Frozen):
 
     # -- functional calculus ---------------------------------------------
 
-    def apply_scalar(self, fn) -> "Element":
+    def apply_scalar(self, fn):
         """Evaluate an entire/holomorphic scalar map on every spectral point.
 
         ``fn`` maps an array of spectral points elementwise: the real
         coordinates on a componentwise algebra, a one-element complex array
-        on ComplexAsR2.  A writable float array of the coordinates' shape
-        that owns its memory, as a ufunc returns, becomes the result's
-        coordinates without a copy: ``fn`` must not keep it.
+        on ComplexAsR2.  A map that returns a tuple of such arrays gives a
+        tuple of Elements, one per array.  A writable float array of the
+        coordinates' shape that owns its memory, as a ufunc returns, becomes
+        the result's coordinates without a copy: ``fn`` must not keep it.
         """
-        if self.algebra.componentwise:
-            out = fn(self.coords)
-            if (type(out) is np.ndarray and out.dtype == np.float64
-                    and out.shape == self.coords.shape and out.base is None
-                    and out.flags.writeable):
-                return _adopt(out, self.algebra)
-            return Element(out, self.algebra)
-        w = complex(fn(np.array([self.as_complex()]))[0])
-        return _adopt(np.array([w.real, w.imag]), self.algebra)
+        alg = self.algebra
+        out = fn(self.coords if alg.componentwise else np.array([self.as_complex()]))
+        if type(out) is tuple:
+            return tuple(_from_map(o, alg) for o in out)
+        return _from_map(out, alg)
 
     def in_log_branch(self) -> bool:
         """Whether the spectrum avoids (-inf, 0], the principal log's cut."""
         z = self.spectrum()
         return not np.any((z.imag == 0.0) & (z.real <= 0.0))
-
-    def mu(self) -> "Element":
-        """Tilting multiplier (e^z - 1)/z per spectral point, 1 at z = 0."""
-        return self.apply_scalar(mu_scalar)
 
     # -- serialization ----------------------------------------------------
 
@@ -304,11 +299,23 @@ def _adopt(coords: np.ndarray, algebra: AlgebraDescriptor) -> Element:
     return e
 
 
+def _from_map(out, algebra: AlgebraDescriptor) -> Element:
+    """The Element of one output of a map that ``apply_scalar`` ran."""
+    if not algebra.componentwise:
+        w = complex(out[0])
+        return _adopt(np.array([w.real, w.imag]), algebra)
+    if (type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (algebra.dim,)
+            and out.base is None and out.flags.writeable):
+        return _adopt(out, algebra)
+    return Element(out, algebra)
+
+
 # ---------------------------------------------------------------------------
 # scalar special functions on arrays of spectral points.  The direct formula
 # runs on every point and the Taylor series only on the points below
 # SERIES_THRESHOLD, over whose direct value it is written; np.errstate
 # silences the overflow or 0/0 there.  Overflow at a larger point gives inf.
+# Values that share one exponential come from one map, as a tuple.
 # ---------------------------------------------------------------------------
 
 #: Taylor coefficients, highest power first: mu = sum z^k/(k+1)!,
@@ -332,36 +339,33 @@ def _horner(coeffs, z) -> np.ndarray:
     return out
 
 
-def _series_below_threshold(z, direct, series) -> np.ndarray:
-    """``direct(z)``, with ``series(z)`` written over it where |z| < SERIES_THRESHOLD.
+def _series_below_threshold(z, direct, series) -> list:
+    """Each ``direct`` value, with its ``series(z)`` written over it where
+    |z| < SERIES_THRESHOLD: one mask for all of them.
 
-    Both are elementwise, so each point gets the bits it would get alone.
+    Every map is elementwise, so each point gets the bits it would get alone.
     """
-    z = np.asarray(z)
-    out = np.asarray(direct(z))
+    out = [np.asarray(d) for d in direct]
     small = np.abs(z) < SERIES_THRESHOLD
     if np.count_nonzero(small):
-        out[small] = series(z[small])
+        zs = z[small]
+        for o, f in zip(out, series):
+            o[small] = f(zs)
     return out
 
 
 @np.errstate(all="ignore")
-def mu_scalar(z):
-    """(e^z - 1)/z with the limiting value 1 at z = 0.
-
-    expm1(z)/z does not cancel; the truncated Taylor series below
-    SERIES_THRESHOLD gives the value 1 at z = 0, where it is 0/0.
-    """
-    return _series_below_threshold(z, lambda z: np.expm1(z) / z,
-                                   lambda z: _horner(_MU_SERIES, z))
-
-
-@np.errstate(all="ignore")
-def h_scalar(z):
-    """(e^z - 1 - z)/z, i.e. mu(z) - 1.  Below SERIES_THRESHOLD the Taylor series
-    replaces expm1(z) - z, which cancels (relative error 5e-5 at z = 1e-12)."""
-    return _series_below_threshold(z, lambda z: (np.expm1(z) - z) / z,
-                                   lambda z: _horner(_H_SERIES, z) * z)
+def mu_h_scalar(z) -> tuple:
+    """The tilt's multiplier mu = (e^z - 1)/z, 1 at z = 0, and the solver's
+    h = (e^z - 1 - z)/z = mu - 1, from one expm1.  Below SERIES_THRESHOLD the
+    Taylor series gives mu its value 1 at z = 0, where it is 0/0, and replaces
+    expm1(z) - z, which cancels (relative error 5e-5 at z = 1e-12)."""
+    z = np.asarray(z)
+    e = np.expm1(z)
+    mu, h = _series_below_threshold(z, (e / z, (e - z) / z),
+                                    (lambda w: _horner(_MU_SERIES, w),
+                                     lambda w: _horner(_H_SERIES, w) * w))
+    return mu, h
 
 
 @np.errstate(all="ignore")
@@ -370,19 +374,16 @@ def log1p_over_scalar(z):
 
     Requires 1 + z off (-inf, 0]; the caller checks the branch condition.
     """
-    def direct(z):
-        return (np.log(1.0 + z) if np.iscomplexobj(z) else np.log1p(z)) / z
-    return _series_below_threshold(z, direct, lambda z: _horner(_LOG1P_SERIES, -z))
+    z = np.asarray(z)
+    direct = (np.log(1.0 + z) if np.iscomplexobj(z) else np.log1p(z)) / z
+    return _series_below_threshold(z, (direct,), (lambda w: _horner(_LOG1P_SERIES, -w),))[0]
 
 
 @np.errstate(all="ignore")
-def exp_ratio_scalar(z, t: float):
-    """(e^{tz} - 1)/(e^z - 1), with the value t wherever e^z = 1."""
-    d = np.expm1(z)
-    return np.where(np.abs(d) < UNITY_EPS, t, np.expm1(t * z) / d)
-
-
-@np.errstate(all="ignore")
-def growth_scalar(z, t: float):
-    """(e^{tz} - 1)/z, with the limiting value t at z = 0."""
-    return t * mu_scalar(t * z)
+def path_scale_scalar(z, t: float) -> tuple:
+    """The tilt path's growth (e^{tz} - 1)/z, t at z = 0, and the scale
+    (e^{tz} - 1)/(e^z - 1), t wherever e^z = 1, from one expm1(tz)."""
+    tz = np.asarray(t * z)
+    e, d = np.expm1(tz), np.expm1(z)
+    (mu,) = _series_below_threshold(tz, (e / tz,), (lambda w: _horner(_MU_SERIES, w),))
+    return t * mu, np.where(np.abs(d) < UNITY_EPS, t, e / d)

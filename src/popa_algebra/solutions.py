@@ -537,7 +537,9 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
     Each worker draws and computes its blocks in one ``_kernels._Workspace``
     (X and Y in the kernel's draw slots) and reduces each block as soon as
     it is computed, so a call holds six blocks per worker and a few numbers
-    per block, whatever ``n_samples``.
+    per block, whatever ``n_samples``.  The caller allocates every workspace
+    before a thread starts: memory a thread allocates can come from another
+    malloc arena, which keeps the last call's freed workspace resident.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -559,11 +561,11 @@ def verify_gs(sol: GsSolution, n_samples: int = 10000, seed: int = 0,
     # where(valid, gs, -1), where a NaN beats any number, with its row
     blocks = [None] * len(starts)
     failed = []
+    workspaces = [_kernels._Workspace(alg.dim, min(rows, n_samples)) for _ in range(n_workers)]
 
     def work(first: int) -> None:
-        lo = starts[first]
+        lo, ws = starts[first], workspaces[first]
         try:
-            ws = _kernels._Workspace(alg.dim, min(rows, n_samples))
             for b in range(first, len(starts), n_workers):
                 lo = starts[b]
                 m = min(rows, n_samples - lo)

@@ -3,7 +3,8 @@ scales, its closed-form inverse, and a guaranteed fixed-point solver.
 
 The tilt of u is T(u) = u (e^{g} - 1)/g with g the derivative of the
 solution map at 0 applied to u; spectral points where the relevant ratio
-degenerates take their limiting value (t at points where e^z = 1).
+degenerates take their limiting value (t at points where e^z = 1).  Each
+solver iterate, and each t of ``radiality_check``, makes one spectral pass.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (Element, _adopt, exp_ratio_scalar, growth_scalar, h_scalar,
-                      log1p_over_scalar)
+from .algebra import Element, _adopt, log1p_over_scalar, mu_h_scalar, path_scale_scalar
 from .errors import LogBranchViolation, NoConvergence, NotOmegaHomogeneous
 from .solutions import GsSolution, gamma, rho_of
 
@@ -31,17 +31,16 @@ KERNEL_EPS = 1e-12
 
 @np.errstate(all="ignore")
 def _gamma_and_tilt(sol: GsSolution, u: Element) -> tuple:
-    """g = gamma(u) and the coordinates of its tilt, silently as in tilt_T."""
+    """g = gamma(u), the coordinates of its tilt and h(g), silently as in tilt_T."""
     gu = gamma(sol, u)
-    return gu, u.algebra.mul(u.coords, gu.mu().coords)
+    mu, h = gu.apply_scalar(mu_h_scalar)
+    return gu, u.algebra.mul(u.coords, mu.coords), h
 
 
-def _lambda_scale(gu: Element, t: float) -> Element:
-    return gu.apply_scalar(lambda z: exp_ratio_scalar(z, t))
-
-
-def _tilt_path(u: Element, gu: Element, t: float) -> Element:
-    return u * gu.apply_scalar(lambda z: growth_scalar(z, t))
+def _path_and_scale(u: Element, gu: Element, t: float) -> tuple:
+    """The tilt path u (e^{tg} - 1)/g and lambda(t) = (e^{tg} - 1)/(e^g - 1)."""
+    growth, scale = gu.apply_scalar(lambda z: path_scale_scalar(z, t))
+    return u * growth, scale
 
 
 def tilt_T(sol: GsSolution, u: Element) -> Element:
@@ -55,20 +54,22 @@ def tilt_T(sol: GsSolution, u: Element) -> Element:
 def radiality_check(sol: GsSolution, u: Element, t_grid: Sequence[float]) -> float:
     """Max defect of N(tilt at t) = lambda(t) * N(tilt at 1) over the grid.
 
-    g(u) and rho are computed once: each t costs one evaluation of the map.
+    g(u) and rho are computed once: each t costs one evaluation of the map
+    and one spectral pass.
     """
     if not all(0 <= t < math.inf for t in t_grid):   # NaN fails too
         raise ValueError("t_grid must be non-negative")
-    gu, tilt = _gamma_and_tilt(sol, u)
+    gu, tilt, _ = _gamma_and_tilt(sol, u)
     alg, unit, rho = u.algebra, sol.algebra.unit().coords, rho_of(sol).coords
 
     def adjust(x: Element) -> np.ndarray:   # the adjustor S(x) - unit - rho x, rho reused
         return sol.eval(x).coords - unit - alg.mul(rho, x.coords)
 
     n_t1 = adjust(_adopt(tilt, alg))
-    defects = [alg.norm(adjust(_tilt_path(u, gu, float(t)))
-                        - alg.mul(_lambda_scale(gu, float(t)).coords, n_t1))
-               for t in t_grid]
+    defects = []
+    for t in t_grid:
+        path, scale = _path_and_scale(u, gu, float(t))
+        defects.append(alg.norm(adjust(path) - alg.mul(scale.coords, n_t1)))
     return float(np.max(defects, initial=0.0))   # a NaN defect is NaN, not a pass
 
 
@@ -106,25 +107,18 @@ class TiltResult(NamedTuple):
                 "contraction_bound": CONTRACTION_BOUND}
 
 
-def _exp_or_inf(x: float) -> float:
-    """e^x, inf where it overflows: the radii below are then 0."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _radii(gnorm: float) -> tuple:
-    """The contraction and guarantee radii for a derivative of norm gnorm."""
-    if gnorm == 0.0:
-        return math.inf, math.inf
-    delta = min(1.0, 1.0 / (3.0 * gnorm * _exp_or_inf(gnorm)))
-    return delta, min(1.0, delta / 2.0, delta / (2.0 * gnorm * _exp_or_inf(gnorm)))
-
-
 def guarantee_radius(sol: GsSolution) -> float:
-    """Ball radius of guaranteed solvability for the fixed-point iteration."""
-    return _radii(sol.gamma_norm())[1]
+    """Ball radius of guaranteed solvability for the fixed-point iteration,
+    inside the radius delta where the solver's step is a 1/2-contraction."""
+    gnorm = sol.gamma_norm()
+    if gnorm == 0.0:
+        return math.inf
+    try:
+        e = math.exp(gnorm)
+    except OverflowError:   # the radius is then 0
+        e = math.inf
+    delta = min(1.0, 1.0 / (3.0 * gnorm * e))
+    return min(1.0, delta / 2.0, delta / (2.0 * gnorm * e))
 
 
 @np.errstate(all="ignore")   # as in tilt_T: an overflow is inf, silently
@@ -143,7 +137,7 @@ def tilt_solve_fixed_point(sol: GsSolution, v: Element,
     guaranteed = v_norm < guarantee_radius(sol)
     tol = RESIDUAL_TOL * max(1.0, v_norm)
     u = v
-    g, tilt = _gamma_and_tilt(sol, u)   # g(u) serves the residual and the next step
+    _, tilt, h = _gamma_and_tilt(sol, u)   # one pass serves the residual and the next step
     residual = alg.norm(vc - tilt)
     if residual < tol:
         return TiltResult(u, 0, residual, guaranteed)
@@ -151,13 +145,13 @@ def tilt_solve_fixed_point(sol: GsSolution, v: Element,
     for it in range(1, max_iter + 1):
         if not math.isfinite(residual):
             raise NoConvergence(f"non-finite residual after {it - 1} iterations")
-        u_next = vc - alg.mul(u.coords, g.apply_scalar(h_scalar).coords)
+        u_next = vc - alg.mul(u.coords, h.coords)
         step = alg.norm(u_next - u.coords)
         if prev_step is not None and prev_step > 0.0:
             ratios.append(step / prev_step)
         prev_step = step
         u = _adopt(u_next, alg)
-        g, tilt = _gamma_and_tilt(sol, u)
+        _, tilt, h = _gamma_and_tilt(sol, u)
         residual = alg.norm(vc - tilt)
         if residual < tol:
             return TiltResult(u, it, residual, guaranteed, tuple(ratios))

@@ -14,10 +14,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from popa_algebra.algebra import Element, exp_ratio_scalar
+from popa_algebra.algebra import Element, path_scale_scalar
 from popa_algebra.errors import NotInGroup, PopaAlgebraError
 from popa_algebra.solutions import GsSolution, gamma, rho_of
-from popa_algebra.tilting import KERNEL_EPS, _lambda_scale, _radii, _tilt_path
+from popa_algebra.tilting import KERNEL_EPS, _path_and_scale
 
 
 class NotInvertible(PopaAlgebraError):
@@ -124,17 +124,25 @@ def popa_isomorphism_check(rho: Element, t_grid: Sequence[float]) -> float:
 
 def lambda_scale(sol: GsSolution, u: Element, t: float) -> Element:
     """Exponential scaling factor (e^{tg} - 1)/(e^g - 1), value t where e^g = 1."""
-    return _lambda_scale(gamma(sol, u), t)
+    return _path_and_scale(u, gamma(sol, u), t)[1]
 
 
 def tilt_path(sol: GsSolution, u: Element, t: float) -> Element:
     """The tilt at parameter t: u (e^{tg} - 1)/g, linear (t u) on the kernel."""
-    return _tilt_path(u, gamma(sol, u), t)
+    return _path_and_scale(u, gamma(sol, u), t)[0]
 
 
 def contraction_radius(sol: GsSolution) -> float:
-    """Ball radius within which the solver's update map is a 1/2-contraction."""
-    return _radii(sol.gamma_norm())[0]
+    """Ball radius within which the solver's update map is a 1/2-contraction:
+    min(1, 1/(3 g e^g)) for a derivative of norm g, 0 where e^g overflows."""
+    gnorm = sol.gamma_norm()
+    if gnorm == 0.0:
+        return math.inf
+    try:
+        e = math.exp(gnorm)
+    except OverflowError:
+        e = math.inf
+    return min(1.0, 1.0 / (3.0 * gnorm * e))
 
 
 class RatioLimitResult(NamedTuple):
@@ -171,7 +179,7 @@ def ratio_limit_check(a: Element, t: float) -> RatioLimitResult:
     if not 0 < t < math.inf:   # NaN fails too
         raise ValueError("t must be positive")
     ns = (10, 100, 1000, 10000)
-    limit = a.apply_scalar(lambda z: exp_ratio_scalar(z, t))
+    limit = a.apply_scalar(lambda z: path_scale_scalar(z, t)[1])
     errors = []
     for n in ns:
         m = int(round(t * n))

@@ -16,11 +16,26 @@ from popa_algebra import (AlgebraDescriptor, AlgebraKind, ConstraintViolated,
                           DimensionMismatch, Element, complex_plane, grid_interval,
                           hadamard)
 from popa_algebra.algebra import (_H_SERIES, _LOG1P_SERIES, _MU_SERIES, SERIES_THRESHOLD,
-                                  _horner, exp_ratio_scalar, growth_scalar, h_scalar,
-                                  log1p_over_scalar, mu_scalar)
+                                  UNITY_EPS, _horner, log1p_over_scalar, mu_h_scalar,
+                                  path_scale_scalar)
 from scalar_oracle import cexpm1
 
 E = math.e
+
+
+def mu_scalar(z):
+    """mu alone, from the map that gives the tilt's mu and the solver's h."""
+    return mu_h_scalar(z)[0]
+
+
+def h_scalar(z):
+    """h alone, from the same map."""
+    return mu_h_scalar(z)[1]
+
+
+def mu(a):
+    """The tilting multiplier (e^z - 1)/z of an element, 1 at z = 0."""
+    return a.apply_scalar(mu_h_scalar)[0]
 
 
 def test_hadamard_product_and_unit():
@@ -96,10 +111,10 @@ def test_spectrum_and_norm():
 
 def test_mu_values():
     A1 = hadamard(1)
-    assert np.allclose(A1.element([0.0]).mu().coords, [1.0])
-    assert abs(A1.element([1.0]).mu().coords[0] - (E - 1)) < 1e-15
+    assert np.allclose(mu(A1.element([0.0])).coords, [1.0])
+    assert abs(mu(A1.element([1.0])).coords[0] - (E - 1)) < 1e-15
     A = hadamard(2)
-    assert np.allclose(A.element([1, 0]).mu().coords, [E - 1, 1.0])
+    assert np.allclose(mu(A.element([1, 0])).coords, [E - 1, 1.0])
 
 
 def test_ring_axioms_random():
@@ -152,7 +167,7 @@ def test_mu_identity_and_series_continuity():
     A = hadamard(3)
     for _ in range(50):
         a = A.element(rng.uniform(0.1, 2.0, 3) * rng.choice([-1, 1], 3))
-        lhs = a.mu() * a
+        lhs = mu(a) * a
         rhs = a.apply_scalar(np.exp) - A.unit()
         assert (lhs - rhs).norm() < 1e-12 * max(1.0, rhs.norm())
     # both branches agree at the switch threshold
@@ -210,6 +225,22 @@ def test_series_helpers_match_the_where_form_bit_for_bit(name, fn):
         assert isinstance(got, np.ndarray)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), z
         assert got.tobytes() == want.tobytes(), z
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 1.0, 2.0, -1.5])
+def test_path_scale_matches_the_separate_maps_bit_for_bit(t):
+    # one expm1(tz) serves both outputs; each keeps the bits of its own map:
+    # the growth t mu(tz), mu in the np.where form, and the ratio's np.where
+    for z in _series_inputs():
+        with np.errstate(all="ignore"):
+            tz = t * np.asarray(z)
+            d = np.expm1(z)
+            want = (t * _series_where("mu", tz),
+                    np.where(np.abs(d) < UNITY_EPS, t, np.expm1(tz) / d))
+        for got, ref in zip(path_scale_scalar(z, t), want):
+            got, ref = np.asarray(got), np.asarray(ref)
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape), z
+            assert got.tobytes() == ref.tobytes(), (t, z)
 
 
 _BELOW = float(np.nextafter(SERIES_THRESHOLD, 0.0))   # the threshold less one ulp
@@ -335,7 +366,7 @@ def test_constructor_neither_aliases_nor_freezes_the_callers_array():
 def test_ring_operation_results_are_read_only():
     for alg in (hadamard(3), complex_plane(), grid_interval([0.0, 0.5, 1.0])):
         a, b = alg.element(np.linspace(0.5, 1.5, alg.dim)), alg.unit()
-        for out in (a + b, a - b, -a, a * b, 2.0 * a, a * 2.0, a.scale(3.0), a.mu(),
+        for out in (a + b, a - b, -a, a * b, 2.0 * a, a * 2.0, a.scale(3.0), mu(a),
                     a.apply_scalar(np.exp), a.apply_scalar(lambda z: z ** 2)):
             with pytest.raises(ValueError, match="read-only"):
                 out.coords[0] = 0.0
@@ -466,9 +497,10 @@ def test_array_formulas_match_scalar_oracle(points, is_complex, t):
             # absolute error of a few ulp of 1 there
             (h_scalar, oracle.h_scalar, 1.0, 1.0),
             # no series branch: scale 0 never meets the threshold circle
-            (lambda w: exp_ratio_scalar(w, t), lambda w: oracle.exp_ratio_scalar(w, t),
+            (lambda w: path_scale_scalar(w, t)[1], lambda w: oracle.exp_ratio_scalar(w, t),
              0.0, 0.0),
-            (lambda w: growth_scalar(w, t), lambda w: oracle.growth_scalar(w, t), 0.0, t)):
+            (lambda w: path_scale_scalar(w, t)[0], lambda w: oracle.growth_scalar(w, t),
+             0.0, t)):
         got = fn(z)
         assert got.shape == z.shape
         for g, w in zip(got, scalars):
@@ -484,14 +516,31 @@ def test_overflow_gives_infinity_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         z = np.array([800.0, 0.2, 0.0])
-        mu = mu_scalar(z)
-        assert math.isinf(mu[0]) and mu[2] == 1.0
-        assert abs(mu[1] - oracle.mu_scalar(0.2)) < 1e-15
+        m = mu_scalar(z)
+        assert math.isinf(m[0]) and m[2] == 1.0
+        assert abs(m[1] - oracle.mu_scalar(0.2)) < 1e-15
         assert math.isinf(h_scalar(z)[0])
-        assert exp_ratio_scalar(np.array([0.0, 1e-300]), 2.0).tolist() == [2.0, 2.0]
-        assert math.isinf(hadamard(3).element(z).mu().coords[0])
+        assert path_scale_scalar(np.array([0.0, 1e-300]), 2.0)[1].tolist() == [2.0, 2.0]
+        assert math.isinf(mu(hadamard(3).element(z)).coords[0])
     with pytest.raises(OverflowError):
         oracle.mu_scalar(800.0)   # the per-point original raised instead
+
+
+def test_apply_scalar_gives_one_element_per_output_of_a_tuple_map():
+    # each output has the bits a map returning it alone gives
+    for alg in (hadamard(3), complex_plane(), grid_interval([0.0, 0.5, 1.0])):
+        a = alg.element(np.linspace(-0.7, 1e-7, alg.dim))
+        for fn, alone in ((mu_h_scalar, (mu_scalar, h_scalar)),
+                          (lambda z: path_scale_scalar(z, 0.5),
+                           (lambda z: path_scale_scalar(z, 0.5)[0],
+                            lambda z: path_scale_scalar(z, 0.5)[1]))):
+            outs = a.apply_scalar(fn)
+            assert type(outs) is tuple and len(outs) == 2
+            for out, f in zip(outs, alone):
+                assert isinstance(out, Element) and out.algebra == alg
+                assert out.coords.tobytes() == a.apply_scalar(f).coords.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    out.coords[0] = 0.0
 
 
 def test_apply_scalar_passes_one_array_per_element():

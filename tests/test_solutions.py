@@ -482,6 +482,25 @@ def test_verify_gs_report_keeps_a_nan_from_a_later_block(workers, monkeypatch):
     assert rep.worst_pair[1].coords.tobytes() == Y[2 * rows + 3].tobytes()
 
 
+def test_verify_gs_allocates_every_workspace_on_the_calling_thread(monkeypatch):
+    # memory a thread allocates can come from another malloc arena, which
+    # keeps the last call's freed workspace resident
+    sol = CanonicalSolution(A2.element([0.5, 0.3]))
+    n = 3 * _kernels.block_rows(2) + 5
+    want = json.dumps(oracle.verify_gs(sol, n, seed=3, box_radius=0.4).to_json())
+    real, built = _kernels._Workspace, []
+
+    def recorded(*args):
+        built.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_Workspace", recorded)
+    monkeypatch.setattr(solutions, "_cpu_count", lambda: 2)
+    got = json.dumps(verify_gs(sol, n, seed=3, box_radius=0.4).to_json())
+    assert built == [threading.get_ident()] * 2
+    assert got == want
+
+
 def test_verify_gs_memory_does_not_grow_with_the_samples():
     # X alone, drawn whole, would be 10^6 x 6 doubles = 45.8 MiB
     import tracemalloc

@@ -13,14 +13,14 @@ from conftest import random_partition_spec
 from paper_checks import (NotInvertible, _finite_ratio_scalar, adjustor, contraction_radius,
                           lambda_scale, ratio_limit_check, tilt_path)
 from popa_algebra import (CanonicalSolution, ComplexReImSolution,
-                          DegenerateExpSolution, DegenerateForm, Direction,
+                          DegenerateExpSolution, DegenerateForm, Direction, Element,
                           IdempotentSolution, LinearSolution, LogBranchViolation,
                           NoConvergence, NotOmegaHomogeneous,
                           PartitionSolution, PartitionSpec,
                           complex_plane, gamma, grid_interval, hadamard,
                           radiality_check, tilt_T, tilt_inverse,
                           tilt_solve_fixed_point, unboundedness_direction)
-from popa_algebra.algebra import h_scalar, log1p_over_scalar
+from popa_algebra.algebra import log1p_over_scalar, mu_h_scalar
 from popa_algebra.tilting import KERNEL_EPS, RESIDUAL_TOL, guarantee_radius
 
 E = math.e
@@ -71,7 +71,7 @@ def test_tilt_multiplier_invertible_on_samples():
     sol = codependent()
     for _ in range(100):
         u = A2.element(rng.uniform(-0.4, 0.4, 2))
-        assert gamma(sol, u).mu().is_invertible()
+        assert gamma(sol, u).apply_scalar(mu_h_scalar)[0].is_invertible()
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def _solve_composed(sol, v, max_iter=200):
     it = 0
     while residual >= RESIDUAL_TOL * max(1.0, v.norm()) and it < max_iter:
         it += 1
-        u_next = v - u * gamma(sol, u).apply_scalar(h_scalar)
+        u_next = v - u * gamma(sol, u).apply_scalar(mu_h_scalar)[1]
         step = (u_next - u).norm()
         if prev_step is not None and prev_step > 0.0:
             ratios.append(step / prev_step)
@@ -347,6 +347,46 @@ def test_solver_equals_the_public_composition_exactly():
             assert (res.iterations, res.final_residual, res.contraction_ratios) == (
                 iterations, residual, ratios)
             assert len(calls) == res.iterations + 1
+
+
+def _count_apply_scalar(monkeypatch):
+    """Record each call of Element.apply_scalar, the one spectral pass."""
+    calls, inner = [], Element.apply_scalar
+
+    def counted(self, fn):
+        calls.append(fn)
+        return inner(self, fn)
+
+    monkeypatch.setattr(Element, "apply_scalar", counted)
+    return calls
+
+
+def test_solver_makes_one_spectral_pass_per_iterate(monkeypatch):
+    # the tilt's multiplier, for the residual, and h, for the next step,
+    # come from one map: k iterates make k + 1 passes
+    rng = np.random.default_rng(35)
+    calls = _count_apply_scalar(monkeypatch)
+    iterations = []
+    for sol in _tilt_families(rng):
+        for scale in (0.9 * guarantee_radius(sol), 0.1 * guarantee_radius(sol)):
+            direction = sol.algebra.element(rng.uniform(-1.0, 1.0, sol.algebra.dim))
+            calls.clear()
+            res = tilt_solve_fixed_point(sol, (scale / direction.norm()) * direction)
+            assert len(calls) == res.iterations + 1, sol.variant
+            iterations.append(res.iterations)
+    assert max(iterations) >= 3   # two passes per iterate would make 2k + 1
+
+
+def test_radiality_makes_one_spectral_pass_per_t(monkeypatch):
+    # the tilt path and lambda(t) come from one map: T values of t make T + 1
+    rng = np.random.default_rng(36)
+    calls = _count_apply_scalar(monkeypatch)
+    for sol in _tilt_families(rng):
+        u = sol.algebra.element(rng.uniform(-0.5, 0.5, sol.algebra.dim))
+        for t_grid in ([], [1.0], [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]):
+            calls.clear()
+            radiality_check(sol, u, t_grid)
+            assert len(calls) == len(t_grid) + 1, sol.variant
 
 
 def test_inverse_equals_the_public_composition_exactly():
